@@ -1256,6 +1256,19 @@ mod tests {
         s.iter().map(|v| (*v).to_owned()).collect()
     }
 
+    /// [`super::dispatch`] installs process-wide state for the length of
+    /// the invocation (the fault plan, lenient parsing, the flight
+    /// recorder), so two tests dispatching at once would see each
+    /// other's: an `--faults short@0` run would truncate a concurrent
+    /// test's trace. Tests therefore dispatch one at a time.
+    fn dispatch(argv: &[String]) -> CmdResult {
+        static DISPATCH: Mutex<()> = Mutex::new(());
+        let _one_at_a_time = DISPATCH
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        super::dispatch(argv)
+    }
+
     #[test]
     fn unknown_command_errors() {
         assert!(dispatch(&argv(&["frobnicate"])).is_err());

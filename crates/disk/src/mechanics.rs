@@ -23,6 +23,14 @@ pub struct SeekCurve {
     b: f64,
     c: f64,
     max_distance: f64,
+    /// Precomputed for [`SeekCurve::floor_ms`]: the distance of the
+    /// curve's minimum when it lies strictly inside the fit range (zero
+    /// otherwise), the floor over distances that still reach it and over
+    /// those beyond it, and the rounding slack every floor carries.
+    dip_distance: f64,
+    dip_floor_ms: f64,
+    full_stroke_floor_ms: f64,
+    slack_ms: f64,
 }
 
 impl SeekCurve {
@@ -71,11 +79,34 @@ impl SeekCurve {
             name: "seek times",
             reason: "seek curve fit is singular for these parameters",
         })?;
+        let [a, b, c] = sol;
+        let at = |x: f64| a + b * x.sqrt() + c * x;
+        // With s = √d the curve is the parabola a + b·s + c·s²; opening
+        // upward, it can dip below both ends of the fit range.
+        let vertex = -b / (2.0 * c);
+        let dip_distance = if c > 0.0 && vertex > 0.0 && vertex * vertex < d3 {
+            vertex * vertex
+        } else {
+            0.0
+        };
+        // A relative slack far above rounding error keeps every floor at
+        // or below the rounded figures `seek_ms` returns.
+        let slack_ms = 1e-9 * (a.abs() + b.abs() * d3.sqrt() + c.abs() * d3);
+        let full_stroke_floor_ms = at(d3) - slack_ms;
+        let dip_floor_ms = if dip_distance > 0.0 {
+            full_stroke_floor_ms.min(at(dip_distance) - slack_ms)
+        } else {
+            full_stroke_floor_ms
+        };
         Ok(SeekCurve {
-            a: sol[0],
-            b: sol[1],
-            c: sol[2],
+            a,
+            b,
+            c,
             max_distance: d3,
+            dip_distance,
+            dip_floor_ms,
+            full_stroke_floor_ms,
+            slack_ms,
         })
     }
 
@@ -90,6 +121,28 @@ impl SeekCurve {
         }
         let d = (d as f64).min(self.max_distance);
         (self.a + self.b * d.sqrt() + self.c * d).max(0.0)
+    }
+
+    /// A lower bound on [`SeekCurve::seek_ms`] over every distance of at
+    /// least `d` tracks.
+    ///
+    /// The fit only pins three points, so the curve need not be
+    /// monotone. With `s = √d` it is the parabola `a + b·s + c·s²`,
+    /// whose minimum over `[√d, √max_distance]` lies at an end of the
+    /// interval or, when the parabola opens upward, at its vertex.
+    pub(crate) fn floor_ms(&self, d: u64) -> f64 {
+        if d == 0 {
+            return 0.0;
+        }
+        let x = (d as f64).min(self.max_distance);
+        let beyond = if self.dip_distance > x {
+            self.dip_floor_ms
+        } else {
+            self.full_stroke_floor_ms
+        };
+        (self.a + self.b * x.sqrt() + self.c * x - self.slack_ms)
+            .min(beyond)
+            .max(0.0)
     }
 }
 
@@ -202,6 +255,18 @@ impl Mechanics {
         self.rotation_ns
     }
 
+    /// Seek time in nanoseconds for an arm movement of `distance`
+    /// tracks: the figure [`Mechanics::service`] charges.
+    pub fn seek_ns(&self, distance: u64) -> f64 {
+        self.seek.seek_ms(distance) * NS_PER_MS
+    }
+
+    /// A lower bound on [`Mechanics::seek_ns`] over every distance of at
+    /// least `distance` tracks (see [`SeekCurve`]'s `floor_ms`).
+    pub(crate) fn seek_floor_ns(&self, distance: u64) -> f64 {
+        self.seek.floor_ms(distance) * NS_PER_MS
+    }
+
     /// Average rotational latency (half a rotation) in nanoseconds.
     pub fn avg_rotational_latency_ns(&self) -> f64 {
         self.rotation_ns / 2.0
@@ -240,8 +305,7 @@ impl Mechanics {
         self.geometry.check_range(lba, sectors)?;
         let loc = self.geometry.locate(lba)?;
 
-        let distance = loc.track.abs_diff(head_track);
-        let seek_ns = self.seek.seek_ms(distance) * NS_PER_MS;
+        let seek_ns = self.seek_ns(loc.track.abs_diff(head_track));
 
         // Angular position (fraction of a rotation) when the seek ends.
         let t_arrive = now_ns + seek_ns;
@@ -321,6 +385,57 @@ mod tests {
         assert!(SeekCurve::fit(3.0, 3.0, 6.5, 20_000).is_err());
         assert!(SeekCurve::fit(0.2, 6.5, 3.0, 20_000).is_err());
         assert!(SeekCurve::fit(0.2, 3.0, 6.5, 4).is_err());
+    }
+
+    /// Checks `seek_floor_ns` against the brute-force minimum of
+    /// `seek_ns` over every distance at or beyond each `d`.
+    fn assert_floor_bounds_every_longer_seek(m: &Mechanics) {
+        let tracks = m.geometry().total_tracks();
+        let mut suffix_min = f64::INFINITY;
+        for d in (0..tracks + 10).rev() {
+            suffix_min = suffix_min.min(m.seek_ns(d));
+            let floor = m.seek_floor_ns(d);
+            assert!(
+                floor <= suffix_min,
+                "floor {floor} above {suffix_min} at d={d}"
+            );
+            assert!(floor > suffix_min - 1.0, "floor {floor} loose at d={d}");
+        }
+    }
+
+    #[test]
+    fn seek_floor_bounds_built_in_profiles() {
+        for p in crate::profile::DriveProfile::all() {
+            assert_floor_bounds_every_longer_seek(&p.mechanics().unwrap());
+        }
+    }
+
+    #[test]
+    fn seek_floor_bounds_non_monotone_fits() {
+        let g = DiskGeometry::uniform(30_000, 500).unwrap();
+        // A steep full stroke dips the middle of the curve below the
+        // single-track time; a flat one makes it peak before the end.
+        for (single, third, full) in [(2.0, 2.1, 20.0), (0.5, 10.0, 10.1)] {
+            let m = Mechanics::new(g.clone(), 10_000.0, single, third, full, 0.3).unwrap();
+            let dips = (1..30_000u64).any(|d| m.seek_ns(d + 1) < m.seek_ns(d));
+            assert!(dips, "fit ({single}, {third}, {full}) is monotone");
+            assert_floor_bounds_every_longer_seek(&m);
+        }
+    }
+
+    #[test]
+    fn seek_ns_is_what_service_charges() {
+        let m = mechanics();
+        for (head, lba) in [
+            (0u64, 500u64),
+            (0, 7_000_000),
+            (19_000, 10),
+            (4_321, 12_345_678),
+        ] {
+            let track = m.geometry().locate(lba).unwrap().track;
+            let t = m.service(head, 0.0, lba, 8).unwrap();
+            assert_eq!(t.seek_ns, m.seek_ns(track.abs_diff(head)));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::cache::{CacheConfig, DiskCache, WriteOutcome};
 use crate::mechanics::{Mechanics, ServiceTiming};
 use crate::obs::{Components, SimObserver};
 use crate::profile::DriveProfile;
-use crate::scheduler::{QueuedRequest, SchedulerKind, SchedulerPolicy};
+use crate::scheduler::{Queued, RequestQueue, SchedulerKind};
 use crate::{DiskError, Result};
 use spindle_obs::EventKind;
 use spindle_trace::{OpKind, Request};
@@ -170,7 +170,7 @@ impl SimResult {
 pub struct DiskSim {
     mechanics: Mechanics,
     cache: DiskCache,
-    scheduler: Box<dyn SchedulerPolicy>,
+    queue: RequestQueue,
     controller_overhead_ns: f64,
     flush_at_end: bool,
     obs: Option<SimObserver>,
@@ -193,7 +193,7 @@ impl DiskSim {
         DiskSim {
             mechanics,
             cache,
-            scheduler: config.scheduler.create(),
+            queue: RequestQueue::new(config.scheduler),
             controller_overhead_ns: profile.controller_overhead_ns as f64,
             flush_at_end: config.flush_at_end,
             obs: None,
@@ -218,7 +218,7 @@ impl DiskSim {
         Ok(DiskSim {
             mechanics,
             cache: DiskCache::new(cache)?,
-            scheduler: scheduler.create(),
+            queue: RequestQueue::new(scheduler),
             controller_overhead_ns: controller_overhead_ns as f64,
             flush_at_end,
             obs: None,
@@ -300,6 +300,8 @@ impl DiskSim {
     where
         I: IntoIterator<Item = Request>,
     {
+        // A run that failed part-way may have left requests queued.
+        self.queue.clear();
         let mut source = requests.into_iter().peekable();
         if source.peek().is_none() {
             return Err(DiskError::InvalidStream {
@@ -309,10 +311,6 @@ impl DiskSim {
 
         let mut busy = BusyLogBuilder::new();
         let mut completed = Vec::new();
-        let mut queue: Vec<QueuedRequest> = Vec::new();
-        // Full requests for queued entries, kept index-parallel with
-        // `queue` (the scheduler's view carries only placement fields).
-        let mut pending: Vec<Request> = Vec::new();
         let mut next_id = 0u64; // position in the stream
         let mut last_arrival = 0u64;
         let mut now: f64 = 0.0;
@@ -341,21 +339,18 @@ impl DiskSim {
                 last_arrival = r.arrival_ns;
                 self.mechanics.geometry().check_range(r.lba, r.sectors)?;
                 let track = self.mechanics.geometry().locate(r.lba)?.track;
-                queue.push(QueuedRequest {
+                self.queue.push(Queued {
                     id: next_id,
-                    arrival_ns: r.arrival_ns,
-                    lba: r.lba,
-                    sectors: r.sectors,
                     track,
+                    request: r,
                 });
-                pending.push(r);
                 if let Some(o) = &self.obs {
                     o.event(r.arrival_ns, EventKind::RequestEnqueue, next_id);
                 }
                 next_id += 1;
             }
 
-            if queue.is_empty() {
+            if self.queue.is_empty() {
                 let upcoming = source.peek().map(|r| r.arrival_ns as f64);
                 // Idle: consider destaging dirty data before the next
                 // arrival.
@@ -422,14 +417,12 @@ impl DiskSim {
 
             // Pick and service the next request.
             if let Some(o) = &self.obs {
-                o.queue_depth.record(queue.len() as u64);
+                o.queue_depth.record(self.queue.len() as u64);
             }
-            let idx = self
-                .scheduler
-                .select(&queue, head_track, now, &self.mechanics);
-            let q = queue.remove(idx);
-            let r = pending.remove(idx);
-            debug_assert_eq!(r.arrival_ns, q.arrival_ns, "queue/pending out of sync");
+            let Queued { id, request: r, .. } = self
+                .queue
+                .pop(head_track, now, &self.mechanics)
+                .expect("queue is non-empty");
             let start = now;
             // Injected command timeout: the command stalls, then the
             // retry services normally starting at the delayed instant
@@ -437,7 +430,7 @@ impl DiskSim {
             let timeout_fault = self
                 .faults
                 .as_ref()
-                .is_some_and(|fl| fl.timeouts.contains(&q.id));
+                .is_some_and(|fl| fl.timeouts.contains(&id));
             let timeout_ns = if timeout_fault {
                 TIMEOUT_PENALTY_NS as f64
             } else {
@@ -453,7 +446,7 @@ impl DiskSim {
                 && self
                     .faults
                     .as_ref()
-                    .is_some_and(|fl| fl.media_errors.contains(&q.id));
+                    .is_some_and(|fl| fl.media_errors.contains(&id));
             let media_ns = if media_fault {
                 self.mechanics.rotation_ns()
             } else {
@@ -485,17 +478,17 @@ impl DiskSim {
                 (OpKind::Write, false) => writes_forced += 1,
             }
             if let Some(o) = &self.obs {
-                o.event(start.round() as u64, EventKind::RequestDispatch, q.id);
+                o.event(start.round() as u64, EventKind::RequestDispatch, id);
                 if timeout_fault {
                     o.timeouts.inc();
-                    o.event(start.round() as u64, EventKind::Timeout, q.id);
+                    o.event(start.round() as u64, EventKind::Timeout, id);
                 }
                 if media_fault {
                     o.media_errors.inc();
                     o.event(
                         (complete - media_ns).round() as u64,
                         EventKind::MediaError,
-                        q.id,
+                        id,
                     );
                 }
                 match (r.op, cache_hit) {
@@ -518,7 +511,7 @@ impl DiskSim {
                 let response_ns = complete - r.arrival_ns as f64;
                 let queue_ns = (start - r.arrival_ns as f64).max(0.0);
                 o.attribute_request(
-                    q.id,
+                    id,
                     op_name,
                     complete.round() as u64,
                     (response_ns / 1_000.0).round() as u64,
@@ -526,14 +519,14 @@ impl DiskSim {
                     outcome.components(),
                 );
                 o.requests_completed.inc();
-                o.event(complete.round() as u64, EventKind::RequestComplete, q.id);
+                o.event(complete.round() as u64, EventKind::RequestComplete, id);
                 // Request lifecycle on the simulated-time tracks:
                 // enqueue → dispatch on the queue track, dispatch →
                 // complete on the service track.
                 if o.flight().is_some() {
                     use spindle_obs::json::Json;
                     let start_ns = start.round() as u64;
-                    let id_arg = ("id".to_owned(), Json::Uint(q.id));
+                    let id_arg = ("id".to_owned(), Json::Uint(id));
                     if timeout_fault {
                         o.sim_slice(
                             crate::obs::track::SERVICE,
@@ -741,6 +734,65 @@ mod tests {
             s.run_stream([read(2_000, 0, 8), read(1_000, 64, 8)]),
             Err(DiskError::InvalidStream { .. })
         ));
+    }
+
+    #[test]
+    fn aborted_run_leaves_nothing_queued_for_the_next_run() {
+        let cap = sim().mechanics().geometry().total_sectors();
+        // Each stream is rejected after its first two requests are
+        // queued: one by an arrival out of order, one by an LBA past the
+        // end of the drive.
+        let aborted = [
+            vec![
+                read(5_000_000, 0, 8),
+                read(5_000_000, 64, 8),
+                read(1_000_000, 128, 8),
+            ],
+            vec![read(0, 0, 8), read(0, 64, 8), read(0, cap - 1, 8)],
+        ];
+        let clean = [read(0, 7_000_000, 8), write(2_000_000, 9_000_000, 16)];
+        let fresh = sim().run(&clean).unwrap();
+        for stream in aborted {
+            let mut s = sim();
+            assert!(s.run_stream(stream).is_err());
+            let result = s.run(&clean).unwrap();
+            assert_eq!(result.completed.len(), clean.len());
+            assert_eq!(result, fresh);
+        }
+    }
+
+    #[test]
+    fn look_keeps_its_sweep_direction_across_runs() {
+        let g = crate::geometry::DiskGeometry::uniform(10_000, 1000).unwrap();
+        let m = Mechanics::new(g, 10_000.0, 0.3, 4.0, 9.0, 0.3).unwrap();
+        let mut s = DiskSim::from_parts(
+            m,
+            CacheConfig::default(),
+            SchedulerKind::Look,
+            100_000,
+            false,
+        )
+        .unwrap();
+        // Track 1000, then a reversal down to track 500, then a write to
+        // track 300 that stays dirty: the run ends sweeping down.
+        s.run(&[
+            read(0, 1_000_000, 8),
+            read(1_000_000, 500_000, 8),
+            write(2_000_000, 300_000, 8),
+        ])
+        .unwrap();
+        // The next run destages that write while idle, leaving the head
+        // on track 300; still sweeping down, it serves track 200 before
+        // track 400.
+        let next = s
+            .run(&[
+                read(1_000_000_000, 400_000, 8),
+                read(1_000_000_000, 200_000, 8),
+            ])
+            .unwrap();
+        assert_eq!(next.destages, 1);
+        let order: Vec<u64> = next.completed.iter().map(|c| c.request.lba).collect();
+        assert_eq!(order, [200_000, 400_000]);
     }
 
     #[test]

@@ -207,20 +207,31 @@ impl Wheel {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Inner {
+    wheels: Vec<Wheel>,
     prev: Option<Snapshot>,
     last_t_ns: u64,
+}
+
+impl Inner {
+    /// Advances the axis clock and returns every wheel for banking at
+    /// `t_ns`.
+    fn advance(&mut self, t_ns: u64) -> &mut [Wheel] {
+        self.last_t_ns = self.last_t_ns.max(t_ns);
+        &mut self.wheels
+    }
 }
 
 /// A set of ring-buffered rollup wheels over one time axis.
 ///
 /// Thread-safe; ingestion takes one mutex, so it belongs on sampler
-/// ticks and per-request observer paths, not in tight inner loops.
+/// ticks and per-request observer paths, not in tight inner loops. The
+/// wheels, the previous snapshot and the axis clock share that one
+/// mutex, so there is no lock order to get wrong.
 #[derive(Debug)]
 pub struct RollupSet {
     axis: &'static str,
-    wheels: Mutex<Vec<Wheel>>,
     inner: Mutex<Inner>,
 }
 
@@ -231,9 +242,16 @@ impl RollupSet {
     pub fn new(axis: &'static str, resolutions: Vec<Resolution>) -> Self {
         RollupSet {
             axis,
-            wheels: Mutex::new(resolutions.into_iter().map(Wheel::new).collect()),
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                wheels: resolutions.into_iter().map(Wheel::new).collect(),
+                prev: None,
+                last_t_ns: 0,
+            }),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("rollup lock")
     }
 
     /// The standard wall-time wheel the telemetry session uses:
@@ -280,15 +298,11 @@ impl RollupSet {
     /// implicit previous value is zero), so lifetime totals equal the
     /// registry's own.
     pub fn ingest_snapshot(&self, t_ns: u64, snap: &Snapshot) {
-        let mut inner = self.inner.lock().expect("rollup inner lock");
-        inner.last_t_ns = inner.last_t_ns.max(t_ns);
-        let prev = inner.prev.take();
-        let delta = snapshot_delta(prev.as_ref(), snap);
-        let mut wheels = self.wheels.lock().expect("rollup wheels lock");
-        for wheel in wheels.iter_mut() {
+        let mut inner = self.lock();
+        let delta = snapshot_delta(inner.prev.as_ref(), snap);
+        for wheel in inner.advance(t_ns) {
             wheel.window_for(t_ns).merge_from(&delta);
         }
-        drop(wheels);
         inner.prev = Some(snap.clone());
     }
 
@@ -300,12 +314,7 @@ impl RollupSet {
     /// the newest value, so the fleet's lifetime totals equal the sum
     /// of the per-job lifetime totals bucket for bucket.
     pub fn ingest_accum(&self, t_ns: u64, delta: &WindowAccum) {
-        {
-            let mut inner = self.inner.lock().expect("rollup inner lock");
-            inner.last_t_ns = inner.last_t_ns.max(t_ns);
-        }
-        let mut wheels = self.wheels.lock().expect("rollup wheels lock");
-        for wheel in wheels.iter_mut() {
+        for wheel in self.lock().advance(t_ns) {
             wheel.window_for(t_ns).merge_from(delta);
         }
     }
@@ -314,12 +323,7 @@ impl RollupSet {
     /// at `t_ns` — the point-ingestion path the simulator's observer
     /// uses on the sim axis.
     pub fn record_hist(&self, name: &str, t_ns: u64, value: u64) {
-        {
-            let mut inner = self.inner.lock().expect("rollup inner lock");
-            inner.last_t_ns = inner.last_t_ns.max(t_ns);
-        }
-        let mut wheels = self.wheels.lock().expect("rollup wheels lock");
-        for wheel in wheels.iter_mut() {
+        for wheel in self.lock().advance(t_ns) {
             let win = wheel.window_for(t_ns);
             let h = win
                 .histograms
@@ -334,12 +338,7 @@ impl RollupSet {
         if delta == 0 {
             return;
         }
-        {
-            let mut inner = self.inner.lock().expect("rollup inner lock");
-            inner.last_t_ns = inner.last_t_ns.max(t_ns);
-        }
-        let mut wheels = self.wheels.lock().expect("rollup wheels lock");
-        for wheel in wheels.iter_mut() {
+        for wheel in self.lock().advance(t_ns) {
             let win = wheel.window_for(t_ns);
             *win.counters.entry(name.to_owned()).or_insert(0) += delta;
         }
@@ -347,12 +346,7 @@ impl RollupSet {
 
     /// Records a gauge's value at `t_ns` (sim-axis point ingestion).
     pub fn set_gauge(&self, name: &str, t_ns: u64, value: i64) {
-        {
-            let mut inner = self.inner.lock().expect("rollup inner lock");
-            inner.last_t_ns = inner.last_t_ns.max(t_ns);
-        }
-        let mut wheels = self.wheels.lock().expect("rollup wheels lock");
-        for wheel in wheels.iter_mut() {
+        for wheel in self.lock().advance(t_ns) {
             wheel.window_for(t_ns).gauges.insert(name.to_owned(), value);
         }
     }
@@ -360,12 +354,12 @@ impl RollupSet {
     /// An immutable view of every wheel.
     #[must_use]
     pub fn snapshot(&self) -> RollupSnapshot {
-        let wheels = self.wheels.lock().expect("rollup wheels lock");
-        let last_t_ns = self.inner.lock().expect("rollup inner lock").last_t_ns;
+        let inner = self.lock();
         RollupSnapshot {
             axis: self.axis,
-            last_t_ns,
-            resolutions: wheels
+            last_t_ns: inner.last_t_ns,
+            resolutions: inner
+                .wheels
                 .iter()
                 .map(|w| ResolutionSnapshot {
                     resolution: w.res,

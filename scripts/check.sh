@@ -48,6 +48,15 @@ run cargo test $OFFLINE -q -p spindle-engine --test channel_stress
 run cargo test $OFFLINE -q -p spindle-bench --test fault_injection
 run cargo test $OFFLINE -q -p spindle-bench --test checkpoint_resume
 
+# Quadratic-queue guard: the saturation suite drains a 100k-request
+# all-at-once backlog through every scheduler. O(log n) queues finish it
+# in seconds in release mode; a queue that rescans its backlog on every
+# dispatch takes minutes, so the timeout turns that regression into a
+# named failure rather than a slow pass. Built first so compile time
+# stays outside the timeout.
+run cargo test $OFFLINE --release -q -p spindle-disk --test saturation --no-run
+run timeout 120 cargo test $OFFLINE --release -q -p spindle-disk --test saturation
+
 # Re-run the suite with parallel execution forced on: every pool that
 # defaults its worker count must still produce sequential-identical
 # results with two workers.
