@@ -196,10 +196,15 @@ fn main() {
     // A trace context in the environment (the serve daemon mints one
     // per job attempt) also installs the recorder: the spans ship back
     // over the frame protocol at exporter shutdown instead of landing
-    // in a local file. Observer-only — stdout stays byte-identical.
+    // in a local file, and the recorder is bounded to what the
+    // exporter ships. Observer-only — stdout stays byte-identical.
     let traced = trace_out.is_some() || spindle_obs::TraceContext::from_env().is_some();
     let recorder = traced.then(|| {
-        let rec = Arc::new(FlightRecorder::new());
+        let rec = Arc::new(if trace_out.is_some() {
+            FlightRecorder::new()
+        } else {
+            FlightRecorder::bounded(spindle_obs::frame::MAX_SHIPPED_SPANS)
+        });
         spindle_obs::recorder::install(Arc::clone(&rec));
         pipeline::enable_observability(ObsConfig::enabled());
         rec

@@ -415,11 +415,17 @@ pub fn dispatch(argv: &[String]) -> CmdResult {
     // context in the environment (the serve daemon mints one per job
     // attempt) does the same even without --trace-out: the recorded
     // spans ship upstream over the frame protocol at exporter shutdown
-    // instead of landing in a local file. Observer-only either way —
-    // stdout and every artifact stay byte-identical.
+    // instead of landing in a local file; the exporter ships at most
+    // MAX_SHIPPED_SPANS, so that recorder stops building slices there
+    // and only counts the rest. Observer-only either way — stdout and
+    // every artifact stay byte-identical.
     let traced = obs.trace.is_some() || spindle_obs::TraceContext::from_env().is_some();
     let recorder = traced.then(|| {
-        let rec = Arc::new(FlightRecorder::new());
+        let rec = Arc::new(if obs.trace.is_some() {
+            FlightRecorder::new()
+        } else {
+            FlightRecorder::bounded(spindle_obs::frame::MAX_SHIPPED_SPANS)
+        });
         spindle_obs::recorder::install(Arc::clone(&rec));
         if let Some(path) = &obs.trace {
             *TRACE_PATH.lock().expect("trace path lock") = Some(path.clone());

@@ -49,7 +49,7 @@
 
 use spindle_obs::{
     Counter, EventKind, EventLog, Exemplar, ExemplarHandle, FlightRecorder, Gauge, Histogram,
-    MetricsRegistry, ObsConfig, RollupSet,
+    MetricsRegistry, ObsConfig, RollupSet, SliceArgs,
 };
 use std::sync::Arc;
 
@@ -212,17 +212,15 @@ impl SimObserver {
             log.record(t_ns, kind, detail);
         }
         if let Some(rec) = &self.flight {
-            rec.sim_instant(
-                track::EVENTS,
-                kind.name(),
-                t_ns,
-                vec![("detail".to_owned(), spindle_obs::json::Json::Uint(detail))],
-            );
+            rec.sim_instant(track::EVENTS, kind.name(), t_ns, || {
+                vec![("detail".to_owned(), spindle_obs::json::Json::Uint(detail))]
+            });
         }
     }
 
     /// Records an interval on a simulated-time track (no-op without a
-    /// recorder).
+    /// recorder). Pass the args as a closure where building them
+    /// costs: a bounded recorder past its cap never calls it.
     #[inline]
     pub(crate) fn sim_slice(
         &self,
@@ -230,7 +228,7 @@ impl SimObserver {
         name: &str,
         begin_ns: u64,
         dur_ns: u64,
-        args: Vec<(String, spindle_obs::json::Json)>,
+        args: impl SliceArgs,
     ) {
         if let Some(rec) = &self.flight {
             rec.sim_slice(track, name, begin_ns, dur_ns, args);

@@ -387,7 +387,12 @@ impl DiskSim {
                                 "destage",
                                 destage_at.round() as u64,
                                 (end - destage_at).round() as u64,
-                                vec![("lba".to_owned(), spindle_obs::json::Json::Uint(extent.lba))],
+                                || {
+                                    vec![(
+                                        "lba".to_owned(),
+                                        spindle_obs::json::Json::Uint(extent.lba),
+                                    )]
+                                },
                             );
                         }
                         continue;
@@ -404,7 +409,7 @@ impl DiskSim {
                                     "idle",
                                     now.round() as u64,
                                     (t - now).round() as u64,
-                                    Vec::new(),
+                                    Vec::new,
                                 );
                             }
                         }
@@ -526,14 +531,14 @@ impl DiskSim {
                 if o.flight().is_some() {
                     use spindle_obs::json::Json;
                     let start_ns = start.round() as u64;
-                    let id_arg = ("id".to_owned(), Json::Uint(id));
+                    let id_arg = || vec![("id".to_owned(), Json::Uint(id))];
                     if timeout_fault {
                         o.sim_slice(
                             crate::obs::track::SERVICE,
                             "timeout",
                             start_ns,
                             timeout_ns.round() as u64,
-                            vec![id_arg.clone()],
+                            id_arg,
                         );
                     }
                     if media_fault {
@@ -542,7 +547,7 @@ impl DiskSim {
                             "media retry",
                             (complete - media_ns).round() as u64,
                             media_ns.round() as u64,
-                            vec![id_arg.clone()],
+                            id_arg,
                         );
                     }
                     if start_ns > r.arrival_ns {
@@ -551,7 +556,7 @@ impl DiskSim {
                             op_name,
                             r.arrival_ns,
                             start_ns - r.arrival_ns,
-                            vec![id_arg.clone()],
+                            id_arg,
                         );
                     }
                     o.sim_slice(
@@ -566,11 +571,13 @@ impl DiskSim {
                         },
                         start_ns,
                         (complete - start).round() as u64,
-                        vec![
-                            id_arg,
-                            ("lba".to_owned(), Json::Uint(r.lba)),
-                            ("sectors".to_owned(), Json::Uint(u64::from(r.sectors))),
-                        ],
+                        || {
+                            vec![
+                                ("id".to_owned(), Json::Uint(id)),
+                                ("lba".to_owned(), Json::Uint(r.lba)),
+                                ("sectors".to_owned(), Json::Uint(u64::from(r.sectors))),
+                            ]
+                        },
                     );
                 }
             }

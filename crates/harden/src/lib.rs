@@ -352,6 +352,15 @@ pub fn maybe_task_hang(ordinal: usize) {
 mod tests {
     use super::*;
 
+    /// The plan slot is process-global, so tests that install a plan
+    /// or assert the slot's contents take turns on this lock; a plan
+    /// installed by one test thread would otherwise be visible to
+    /// another's emptiness check.
+    fn slot_guard() -> std::sync::MutexGuard<'static, ()> {
+        static SLOT: Mutex<()> = Mutex::new(());
+        SLOT.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn parse_explicit_sites() {
         let plan = FaultPlan::parse("panic@3,io@4096;short@128 media@7,timeout@9,kill@1").unwrap();
@@ -411,6 +420,7 @@ mod tests {
 
     #[test]
     fn install_slot_round_trips() {
+        let _slot = slot_guard();
         assert!(installed().is_none());
         let plan = Arc::new(FaultPlan::parse("panic@1").unwrap());
         install(Arc::clone(&plan));
@@ -421,6 +431,7 @@ mod tests {
 
     #[test]
     fn maybe_task_panic_panics_only_at_site() {
+        let _slot = slot_guard();
         install(Arc::new(FaultPlan::parse("panic@2").unwrap()));
         maybe_task_panic(0);
         maybe_task_panic(1);

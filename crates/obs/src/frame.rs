@@ -71,6 +71,15 @@ const MIN_PROTOCOL_VERSION: u16 = 1;
 /// before any allocation. Real snapshots are a few KiB.
 pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
 
+/// Most span records one child ships in its final flush, wall spans
+/// first. A pathological recorder (millions of sim events) must not
+/// turn shutdown into a multi-second network stall; the excess is
+/// counted in the last batch's `dropped`, never silently lost. A child
+/// that records only to ship sizes its recorder to this too
+/// ([`FlightRecorder::bounded`](crate::FlightRecorder::bounded)), so
+/// it never builds a slice the exporter would drop.
+pub const MAX_SHIPPED_SPANS: usize = 8192;
+
 /// Env var naming the telemetry sink address (`HOST:PORT`) a child
 /// exporter should connect to. Defined here so the obs crate is the
 /// single source of truth for the protocol's contract; the pulse

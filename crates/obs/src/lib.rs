@@ -105,7 +105,7 @@ pub use exemplar::{Exemplar, ExemplarHandle, ExemplarStore};
 pub use frame::{Frame, FrameDecoder, FrameError, SpanBatch, SpanRec, WindowBatch};
 pub use logger::LogLevel;
 pub use prom::PromSink;
-pub use recorder::{FlightRecorder, SimSlice, WallSlice};
+pub use recorder::{FlightRecorder, SimSlice, SliceArgs, WallSlice};
 pub use registry::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, Snapshot, SpanStats,
 };

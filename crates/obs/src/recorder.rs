@@ -21,14 +21,21 @@
 //!
 //! Recording takes one mutex acquisition and a `Vec` push per slice;
 //! the recorder is only ever attached when a caller asks for a trace
-//! (`--trace-out`), so instrumented hot paths otherwise pay a skipped
-//! `Option` branch.
+//! (`--trace-out`, or a trace context from the serve daemon), so
+//! instrumented hot paths otherwise pay a skipped `Option` branch.
+//!
+//! A [`FlightRecorder::bounded`] recorder keeps only the first `cap`
+//! simulated-time slices and counts the rest ([`FlightRecorder::shed`]).
+//! Slice args are passed as [`SliceArgs`] — either a ready `Vec` or a
+//! closure building one — and a closure runs only for a slice that is
+//! kept, so a slice past the cap costs one atomic increment.
 //!
 //! [`ObsSpan`]: crate::ObsSpan
 
 use crate::events::EventLog;
 use crate::json::Json;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -63,6 +70,25 @@ pub struct WallSlice {
     pub args: Vec<(String, Json)>,
 }
 
+/// The args of a simulated-time slice: a ready `Vec`, or a closure
+/// that builds one only when the recorder keeps the slice.
+pub trait SliceArgs {
+    /// The key→value detail of the slice.
+    fn into_args(self) -> Vec<(String, Json)>;
+}
+
+impl SliceArgs for Vec<(String, Json)> {
+    fn into_args(self) -> Vec<(String, Json)> {
+        self
+    }
+}
+
+impl<F: FnOnce() -> Vec<(String, Json)>> SliceArgs for F {
+    fn into_args(self) -> Vec<(String, Json)> {
+        self()
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     sim: Vec<SimSlice>,
@@ -74,15 +100,33 @@ struct Inner {
 #[derive(Debug)]
 pub struct FlightRecorder {
     epoch: Instant,
+    /// Most simulated-time slices kept; later ones are only counted.
+    sim_cap: usize,
+    /// Simulated-time slices counted but not kept. Non-zero means the
+    /// cap is reached for good, so later slices skip the lock. Relaxed
+    /// suffices: the counter publishes no other data, and a stale zero
+    /// only sends a slice down the locked path, which checks the cap.
+    shed: AtomicU64,
     inner: Mutex<Inner>,
 }
 
 impl FlightRecorder {
-    /// An empty recorder whose wall-clock epoch is *now*.
+    /// An empty, unbounded recorder whose wall-clock epoch is *now*.
     #[must_use]
     pub fn new() -> Self {
+        Self::bounded(usize::MAX)
+    }
+
+    /// An empty recorder that keeps the first `cap` simulated-time
+    /// slices and counts every later one in [`shed`](Self::shed)
+    /// without building it. Wall-clock slices and metadata are not
+    /// capped.
+    #[must_use]
+    pub fn bounded(cap: usize) -> Self {
         FlightRecorder {
             epoch: Instant::now(),
+            sim_cap: cap,
+            shed: AtomicU64::new(0),
             inner: Mutex::new(Inner::default()),
         }
     }
@@ -104,25 +148,42 @@ impl FlightRecorder {
         name: &str,
         begin_ns: u64,
         dur_ns: u64,
-        args: Vec<(String, Json)>,
+        args: impl SliceArgs,
     ) {
-        self.lock().sim.push(SimSlice {
-            track: track.to_owned(),
-            name: name.to_owned(),
-            begin_ns,
-            dur_ns: Some(dur_ns),
-            args,
-        });
+        self.push_sim(track, name, begin_ns, Some(dur_ns), args);
     }
 
     /// Records an instant event on a simulated-time track.
-    pub fn sim_instant(&self, track: &str, name: &str, t_ns: u64, args: Vec<(String, Json)>) {
-        self.lock().sim.push(SimSlice {
+    pub fn sim_instant(&self, track: &str, name: &str, t_ns: u64, args: impl SliceArgs) {
+        self.push_sim(track, name, t_ns, None, args);
+    }
+
+    /// Keeps the slice while under the cap, else only counts it. The
+    /// args are built under the lock, so an args closure must not
+    /// record.
+    fn push_sim(
+        &self,
+        track: &str,
+        name: &str,
+        begin_ns: u64,
+        dur_ns: Option<u64>,
+        args: impl SliceArgs,
+    ) {
+        if self.shed.load(Ordering::Relaxed) > 0 {
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let mut inner = self.lock();
+        if inner.sim.len() >= self.sim_cap {
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        inner.sim.push(SimSlice {
             track: track.to_owned(),
             name: name.to_owned(),
-            begin_ns: t_ns,
-            dur_ns: None,
-            args,
+            begin_ns,
+            dur_ns,
+            args: args.into_args(),
         });
     }
 
@@ -161,12 +222,9 @@ impl FlightRecorder {
     /// so a truncated trace is visible instead of silent.
     pub fn ingest_events(&self, log: &EventLog, track: &str) {
         for e in log.snapshot() {
-            self.sim_instant(
-                track,
-                e.kind.name(),
-                e.t_ns,
-                vec![("detail".to_owned(), Json::Uint(e.detail))],
-            );
+            self.sim_instant(track, e.kind.name(), e.t_ns, || {
+                vec![("detail".to_owned(), Json::Uint(e.detail))]
+            });
         }
         self.set_meta("events.recorded", Json::Uint(log.total_recorded()));
         self.set_meta("events.dropped", Json::Uint(log.dropped()));
@@ -176,6 +234,13 @@ impl FlightRecorder {
     #[must_use]
     pub fn sim_slices(&self) -> Vec<SimSlice> {
         self.lock().sim.clone()
+    }
+
+    /// Simulated-time slices counted but not kept because the
+    /// recorder's cap was reached (always 0 for an unbounded recorder).
+    #[must_use]
+    pub fn shed(&self) -> u64 {
+        self.shed.load(Ordering::Relaxed)
     }
 
     /// The wall-clock slices recorded so far (insertion order).
@@ -343,6 +408,55 @@ mod tests {
         assert!(Arc::ptr_eq(&installed().unwrap(), &b));
         uninstall();
         assert!(installed().is_none());
+    }
+
+    #[test]
+    fn bounded_keeps_the_first_slices_and_counts_the_rest() {
+        let rec = FlightRecorder::bounded(3);
+        let built = std::cell::Cell::new(0u64);
+        for t in 0..10u64 {
+            if t % 2 == 0 {
+                rec.sim_slice("drive.service", "read", t, 1, || {
+                    built.set(built.get() + 1);
+                    vec![("id".to_owned(), Json::Uint(t))]
+                });
+            } else {
+                rec.sim_instant("drive.events", "cache_hit", t, || {
+                    built.set(built.get() + 1);
+                    Vec::new()
+                });
+            }
+        }
+        let sim = rec.sim_slices();
+        let begins: Vec<u64> = sim.iter().map(|s| s.begin_ns).collect();
+        assert_eq!(begins, [0, 1, 2], "the first slices, in insertion order");
+        assert_eq!(sim[0].args, [("id".to_owned(), Json::Uint(0))]);
+        assert_eq!(rec.shed(), 7, "every later slice is counted");
+        assert_eq!(built.get(), 3, "args are never built past the cap");
+    }
+
+    #[test]
+    fn bounded_leaves_wall_slices_and_meta_uncapped() {
+        let rec = FlightRecorder::bounded(1);
+        for _ in 0..4 {
+            rec.sim_slice("t", "op", 0, 1, Vec::new);
+            rec.wall_slice("span", Instant::now(), Duration::from_nanos(1), vec![]);
+        }
+        rec.set_meta("k", Json::Uint(1));
+        assert_eq!(rec.sim_slices().len(), 1);
+        assert_eq!(rec.shed(), 3);
+        assert_eq!(rec.wall_slices().len(), 4);
+        assert_eq!(rec.meta().len(), 1);
+    }
+
+    #[test]
+    fn new_is_unbounded() {
+        let rec = FlightRecorder::new();
+        for t in 0..20_000u64 {
+            rec.sim_instant("t", "op", t, Vec::new);
+        }
+        assert_eq!(rec.sim_slices().len(), 20_000);
+        assert_eq!(rec.shed(), 0);
     }
 
     #[test]

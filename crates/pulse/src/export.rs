@@ -19,7 +19,9 @@
 //! blocks": the daemon is responsible for draining its end promptly.
 
 use crate::status::RunStatus;
-use spindle_obs::frame::{Frame, SpanBatch, SpanRec, WindowBatch, PROTOCOL_VERSION, SINK_ENV};
+use spindle_obs::frame::{
+    Frame, SpanBatch, SpanRec, WindowBatch, MAX_SHIPPED_SPANS, PROTOCOL_VERSION, SINK_ENV,
+};
 use spindle_obs::json::Json;
 use spindle_obs::{FlightRecorder, MetricsRegistry, RollupSet};
 use std::io::Write;
@@ -37,10 +39,6 @@ pub const EXPORT_CADENCE: Duration = Duration::from_millis(100);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Hard cap on span records shipped in the final flush; a pathological
-/// recorder (millions of sim events) must not turn shutdown into a
-/// multi-second network stall. Excess is counted, not silently lost.
-const MAX_SPAN_RECS: usize = 8192;
 /// Records per `Span` frame; keeps every frame well under
 /// `MAX_FRAME_LEN` even with long track names and args.
 const SPAN_BATCH_RECS: usize = 512;
@@ -269,9 +267,10 @@ impl Exporter {
 
 /// Batches the recorder's wall and sim slices into `Span` frames.
 /// Wall spans come first — they are the causal skeleton the daemon
-/// parents onto its own timeline — so when the [`MAX_SPAN_RECS`] cap
-/// bites, only sim detail is shed; the shortfall lands in the last
-/// batch's `dropped` count.
+/// parents onto its own timeline — so when the [`MAX_SHIPPED_SPANS`]
+/// cap bites, only sim detail is shed. The shortfall, plus whatever a
+/// bounded recorder already shed, lands in the last batch's `dropped`
+/// count; args are rendered only for the records that ship.
 fn span_frames(recorder: &FlightRecorder, t_ns: u64) -> Vec<Frame> {
     fn render_args(args: &[(String, Json)]) -> String {
         if args.is_empty() {
@@ -280,34 +279,33 @@ fn span_frames(recorder: &FlightRecorder, t_ns: u64) -> Vec<Frame> {
             Json::Obj(args.to_vec()).to_string()
         }
     }
-    let mut recs: Vec<SpanRec> = Vec::new();
-    for w in recorder.wall_slices() {
-        recs.push(SpanRec {
-            sim: false,
-            track: w.thread,
-            name: w.name,
-            begin_ns: w.begin_ns,
-            dur_ns: Some(w.dur_ns),
-            args: render_args(&w.args),
-        });
-    }
-    for s in recorder.sim_slices() {
-        recs.push(SpanRec {
-            sim: true,
-            track: s.track,
-            name: s.name,
-            begin_ns: s.begin_ns,
-            dur_ns: s.dur_ns,
-            args: render_args(&s.args),
-        });
-    }
-    let dropped = u64::try_from(recs.len().saturating_sub(MAX_SPAN_RECS)).unwrap_or(u64::MAX);
-    recs.truncate(MAX_SPAN_RECS);
-    if recs.is_empty() && dropped == 0 {
+    let wall = recorder.wall_slices();
+    let sim = recorder.sim_slices();
+    let kept = wall.len() + sim.len();
+    let dropped = u64::try_from(kept.saturating_sub(MAX_SHIPPED_SPANS))
+        .unwrap_or(u64::MAX)
+        .saturating_add(recorder.shed());
+    if kept == 0 && dropped == 0 {
         return Vec::new();
     }
+    let wall = wall.into_iter().map(|w| SpanRec {
+        sim: false,
+        track: w.thread,
+        name: w.name,
+        begin_ns: w.begin_ns,
+        dur_ns: Some(w.dur_ns),
+        args: render_args(&w.args),
+    });
+    let sim = sim.into_iter().map(|s| SpanRec {
+        sim: true,
+        track: s.track,
+        name: s.name,
+        begin_ns: s.begin_ns,
+        dur_ns: s.dur_ns,
+        args: render_args(&s.args),
+    });
     let mut frames = Vec::new();
-    let mut iter = recs.into_iter().peekable();
+    let mut iter = wall.chain(sim).take(MAX_SHIPPED_SPANS).peekable();
     loop {
         let chunk: Vec<SpanRec> = iter.by_ref().take(SPAN_BATCH_RECS).collect();
         let last = iter.peek().is_none();
@@ -487,6 +485,49 @@ mod tests {
             matches!(frames.last(), Some(Frame::Bye { .. })),
             "bye still closes the stream"
         );
+    }
+
+    /// Ship-cap parity: a recorder bounded to [`MAX_SHIPPED_SPANS`]
+    /// yields exactly the frames an unbounded one does — the same
+    /// records in the same batches and the same `dropped` total.
+    #[test]
+    fn bounded_recorder_ships_what_an_unbounded_one_does() {
+        fn record(rec: &FlightRecorder) {
+            for i in 0..3u64 {
+                rec.wall_slice(
+                    "cli.simulate",
+                    rec.epoch(),
+                    Duration::from_micros(i + 1),
+                    vec![("i".to_owned(), Json::Uint(i))],
+                );
+            }
+            for i in 0..(MAX_SHIPPED_SPANS as u64 + 1_000) {
+                if i % 3 == 0 {
+                    rec.sim_instant("drive.events", "cache_hit", i, || {
+                        vec![("detail".to_owned(), Json::Uint(i))]
+                    });
+                } else {
+                    rec.sim_slice("drive.service", "read", i, 7, || {
+                        vec![("id".to_owned(), Json::Uint(i))]
+                    });
+                }
+            }
+        }
+        let bounded = FlightRecorder::bounded(MAX_SHIPPED_SPANS);
+        let full = FlightRecorder::new();
+        record(&bounded);
+        record(&full);
+        assert_eq!(bounded.shed(), 1_000);
+        let (b, f) = (span_frames(&bounded, 5), span_frames(&full, 5));
+        assert_eq!(b, f, "same records, batches and dropped total");
+        let dropped: u64 = f
+            .iter()
+            .map(|fr| match fr {
+                Frame::Span(batch) => batch.dropped,
+                other => panic!("only span frames: {other:?}"),
+            })
+            .sum();
+        assert_eq!(dropped, 3 + 1_000, "every unshipped slice is counted");
     }
 
     #[test]

@@ -400,8 +400,8 @@ impl Shared {
         }
     }
 
-    /// Marks `id` terminal: table update, journal append, counters,
-    /// EWMA feed, progress tick.
+    /// Marks `id` terminal: table update, event-watcher wake, journal
+    /// append, counters, EWMA feed, progress tick.
     pub fn finish_job(
         &self,
         id: &str,
@@ -416,7 +416,8 @@ impl Shared {
         // without losing it) and the terminal counter is already on
         // `/metrics` (so state and counters never disagree — the
         // journal fsync below is a wide window to scrape through).
-        self.job_telemetry(id).event(
+        let tel = self.job_telemetry(id);
+        tel.event(
             "end",
             vec![
                 ("state", Json::Str(state.as_str().to_owned())),
@@ -440,6 +441,9 @@ impl Shared {
             job.secs = Some(secs);
             job.error = error;
         });
+        // With the table terminal, wake the job's `/events` watchers:
+        // they can now send `end` without waiting out their poll.
+        tel.end_watchers();
         if let Err(e) = self
             .journal
             .lock()

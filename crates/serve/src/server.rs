@@ -64,7 +64,8 @@ const POLL_INTERVAL: Duration = Duration::from_millis(10);
 /// Per-connection socket timeout.
 const CLIENT_TIMEOUT: Duration = Duration::from_millis(2000);
 
-/// Event-ring poll cadence for `GET /jobs/ID/events`.
+/// Event-ring poll cadence for `GET /jobs/ID/events`: how long a
+/// drained stream batches before it looks again, unless the job ends.
 const EVENTS_POLL: Duration = Duration::from_millis(100);
 
 /// Write timeout on an event stream: a dead or wedged watcher is cut
@@ -736,7 +737,9 @@ fn stream_events(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Resul
             if shared.stop.load(Ordering::Acquire) {
                 return Ok(());
             }
-            std::thread::sleep(EVENTS_POLL);
+            // Events batch per poll; only the job's end cuts the wait
+            // short, so the terminal `end` goes out without a poll lag.
+            tel.await_end(EVENTS_POLL);
         }
     }
 }

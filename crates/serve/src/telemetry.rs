@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -131,6 +131,8 @@ pub(crate) struct EventRing {
     cap: usize,
     next_seq: u64,
     events: VecDeque<(u64, String)>,
+    /// Set once the job is terminal; watchers stop waiting for more.
+    ended: bool,
 }
 
 impl EventRing {
@@ -139,6 +141,7 @@ impl EventRing {
             cap: cap.max(1),
             next_seq: 0,
             events: VecDeque::new(),
+            ended: false,
         }
     }
 
@@ -181,6 +184,7 @@ impl std::fmt::Debug for EventRing {
             .field("cap", &self.cap)
             .field("next_seq", &self.next_seq)
             .field("retained", &self.events.len())
+            .field("ended", &self.ended)
             .finish()
     }
 }
@@ -221,6 +225,10 @@ pub(crate) struct JobTelemetry {
     /// The job's wall-axis wheel, rebuilt from the child's snapshots.
     rollups: RollupSet,
     events: Mutex<EventRing>,
+    /// Paired with `events`: signalled once, when the job turns
+    /// terminal, so `/events` watchers close without waiting out a
+    /// poll. Ordinary events never signal it; watchers batch them.
+    ended: Condvar,
     progress: Mutex<ProgressState>,
     prev: Mutex<Option<Snapshot>>,
     reported: Mutex<Vec<WindowBatch>>,
@@ -251,6 +259,7 @@ impl JobTelemetry {
             epoch: Instant::now(),
             rollups: RollupSet::wall(),
             events: Mutex::new(EventRing::new(ring_cap)),
+            ended: Condvar::new(),
             progress: Mutex::new(ProgressState::default()),
             prev: Mutex::new(None),
             reported: Mutex::new(Vec::new()),
@@ -381,6 +390,31 @@ impl JobTelemetry {
         let ring = self.events.lock().expect("event ring lock");
         let (dropped, events) = ring.since(cursor);
         (dropped, events, ring.next_seq())
+    }
+
+    /// Marks the job terminal for its event watchers and wakes every
+    /// one blocked in [`await_end`](Self::await_end). Called after the
+    /// job table flips terminal, so a woken watcher sees that state.
+    pub(crate) fn end_watchers(&self) {
+        self.events.lock().expect("event ring lock").ended = true;
+        self.ended.notify_all();
+    }
+
+    /// Sleeps up to `timeout`, returning early once the job has ended.
+    /// The flag is read under the ring lock [`end_watchers`] sets it
+    /// under, so an end between the caller's last check and this wait
+    /// is never missed.
+    ///
+    /// [`end_watchers`]: Self::end_watchers
+    pub(crate) fn await_end(&self, timeout: Duration) {
+        let ring = self.events.lock().expect("event ring lock");
+        if !ring.ended {
+            drop(
+                self.ended
+                    .wait_timeout(ring, timeout)
+                    .expect("event ring lock"),
+            );
+        }
     }
 
     /// `(phase, completed, total)` from the job's own frames.
@@ -792,6 +826,25 @@ mod tests {
             cursor = ring.next_seq();
         }
         assert_eq!(received + dropped_total, ring.next_seq());
+    }
+
+    #[test]
+    fn await_end_returns_once_the_job_ends() {
+        // A lost wakeup would hold the waiter for the whole timeout,
+        // which the elapsed check below turns into a failure.
+        let timeout = Duration::from_secs(60);
+        let tel = Arc::new(JobTelemetry::new(4));
+        tel.event("state", vec![("state", Json::Str("running".to_owned()))]);
+        let start = Instant::now();
+        let waiter = {
+            let tel = Arc::clone(&tel);
+            std::thread::spawn(move || tel.await_end(timeout))
+        };
+        tel.end_watchers();
+        waiter.join().expect("waiter returns");
+        // Once ended, a later wait does not block at all.
+        tel.await_end(timeout);
+        assert!(start.elapsed() < timeout, "the end woke the waiter");
     }
 
     #[test]

@@ -38,6 +38,35 @@ run cargo fmt --all -- --check
 run cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
 run cargo test $OFFLINE --workspace -q
 
+# Flake and hang hunt: the lib suites whose tests share process-global
+# slots, locks and threads (obs, pulse, serve, harden) run 20 times
+# each. An order-dependent race then fails here instead of once in a
+# while, and a deadlock is cut off by `timeout` and reported as a hang
+# rather than stalling CI. Test binaries are built first, so compile
+# time stays outside the timeout. Measured: 142 s for all 80 runs on a
+# 2-vCPU VM (serve ~4 s and pulse ~3 s per run; obs and harden ~0.1 s).
+REPEATS=20
+run cargo test $OFFLINE -q --lib -p spindle-obs -p spindle-pulse -p spindle-serve \
+    -p spindle-harden --no-run
+mkdir -p artifacts
+for crate in spindle-obs spindle-pulse spindle-serve spindle-harden; do
+    echo "==> cargo test -q --lib -p $crate, $REPEATS times"
+    for i in $(seq 1 "$REPEATS"); do
+        timeout 300 cargo test $OFFLINE -q --lib -p "$crate" > artifacts/repeat.log 2>&1
+        status=$?
+        if [ "$status" -eq 0 ]; then
+            continue
+        elif [ "$status" -eq 124 ]; then
+            echo "FAILED: $crate lib suite hung on run $i of $REPEATS (killed after 300 s)" >&2
+        else
+            echo "FAILED: $crate lib suite failed on run $i of $REPEATS" >&2
+        fi
+        tail -n 40 artifacts/repeat.log >&2
+        fail=1
+        break
+    done
+done
+
 # The engine's determinism contract, called out explicitly so a
 # regression is named in the log rather than buried in the suite.
 run cargo test $OFFLINE -q -p spindle-bench --test engine_determinism
