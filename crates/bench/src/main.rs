@@ -191,13 +191,12 @@ fn main() {
         spindle_harden::install(Arc::clone(p));
         progress!("# fault plan: {}", p.spec());
     }
-    // A trace wants the event ring mirrored onto the timeline, so it
-    // claims the (first-call-wins) global config before `--metrics`.
     // A trace context in the environment (the serve daemon mints one
-    // per job attempt) also installs the recorder: the spans ship back
-    // over the frame protocol at exporter shutdown instead of landing
-    // in a local file, and the recorder is bounded to what the
-    // exporter ships. Observer-only — stdout stays byte-identical.
+    // per job attempt) installs the recorder just as `--trace-out`
+    // does: the spans ship back over the frame protocol at exporter
+    // shutdown instead of landing in a local file, and the recorder is
+    // bounded to what the exporter ships. Observer-only — stdout stays
+    // byte-identical.
     let traced = trace_out.is_some() || spindle_obs::TraceContext::from_env().is_some();
     let recorder = traced.then(|| {
         let rec = Arc::new(if trace_out.is_some() {
@@ -206,17 +205,15 @@ fn main() {
             FlightRecorder::bounded(spindle_obs::frame::MAX_SHIPPED_SPANS)
         });
         spindle_obs::recorder::install(Arc::clone(&rec));
-        pipeline::enable_observability(ObsConfig::enabled());
         rec
     });
-    if metrics.is_some() {
-        pipeline::enable_observability(ObsConfig::metrics_only());
-    }
-    // A telemetry sink in the environment (the serve daemon sets one
-    // for its children) needs the simulator observers attached, or the
-    // streamed snapshots would carry no disk counters. Registry-only:
-    // stdout and every artifact stay byte-identical.
-    if std::env::var(spindle_obs::frame::SINK_ENV).is_ok_and(|v| !v.is_empty()) {
+    // The simulator observers attach for a trace (the recorder takes
+    // their sim-time tracks), for `--metrics`, and for a telemetry sink
+    // in the environment (the serve daemon sets one for its children),
+    // whose streamed snapshots would otherwise carry no disk counters.
+    // Registry-only: stdout and every artifact stay byte-identical.
+    let sink = std::env::var(spindle_obs::frame::SINK_ENV).is_ok_and(|v| !v.is_empty());
+    if traced || metrics.is_some() || sink {
         pipeline::enable_observability(ObsConfig::metrics_only());
     }
     if ids.is_empty() {

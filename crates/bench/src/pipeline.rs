@@ -7,12 +7,11 @@ use spindle_core::millisecond::{MillisecondAnalysis, WorkloadSummary};
 use spindle_disk::obs::SimObserver;
 use spindle_disk::profile::DriveProfile;
 use spindle_disk::sim::{DiskSim, SimConfig, SimResult};
-use spindle_obs::{EventLog, MetricsRegistry, ObsConfig, ObsSpan};
+use spindle_obs::{MetricsRegistry, ObsConfig, ObsSpan};
 use spindle_synth::family::{DriveRecord, FamilySpec};
 use spindle_synth::hourgen::{HourSeriesSpec, WEEK_HOURS};
 use spindle_synth::presets::Environment;
 use spindle_trace::Request;
-use std::sync::Arc;
 use std::sync::OnceLock;
 
 /// Observability applied to [`EnvRun`]s that do not carry their own
@@ -36,9 +35,6 @@ pub struct EnvRun {
     pub requests: Vec<Request>,
     /// The disk simulation result.
     pub sim: SimResult,
-    /// Simulation event log, populated when observability with event
-    /// tracing was enabled for this run.
-    pub events: Option<Arc<EventLog>>,
 }
 
 impl EnvRun {
@@ -63,8 +59,7 @@ impl EnvRun {
 
     /// Same as [`EnvRun::with_sim_config`] with observability wired to an
     /// explicit registry: disk counters/histograms resolve against
-    /// `registry`, and when `obs_cfg.events` is set the returned run
-    /// carries the simulation event log.
+    /// `registry`.
     ///
     /// # Errors
     ///
@@ -98,16 +93,14 @@ impl EnvRun {
         };
 
         let mut sim = DiskSim::new(DriveProfile::cheetah_15k(), sim_cfg);
-        let mut events = None;
         if let Some((obs_cfg, reg)) = obs {
-            if obs_cfg.metrics || obs_cfg.events {
+            if obs_cfg.metrics {
                 let mut observer = SimObserver::new(reg, obs_cfg);
                 // A globally installed flight recorder (the binary's
                 // `--trace-out`) gets the sim-time tracks of every run.
                 if let Some(rec) = spindle_obs::recorder::installed() {
                     observer = observer.with_flight(rec);
                 }
-                events = observer.event_log();
                 sim.attach_observer(observer);
             }
         }
@@ -119,7 +112,6 @@ impl EnvRun {
             env,
             requests,
             sim: result,
-            events,
         })
     }
 
@@ -211,18 +203,16 @@ mod tests {
             snap.counter("disk.requests_completed"),
             Some(run.requests.len() as u64)
         );
-        assert!(run.events.is_some(), "event tracing was requested");
-        assert!(run.events.unwrap().total_recorded() > 0);
+        assert_eq!(
+            snap.counter("disk.read_hits").unwrap()
+                + snap.counter("disk.read_misses").unwrap()
+                + snap.counter("disk.writes_cached").unwrap()
+                + snap.counter("disk.writes_forced").unwrap(),
+            run.requests.len() as u64,
+            "every request has one cache outcome"
+        );
         assert!(snap.span("pipeline.generate").is_some());
         assert!(snap.span("pipeline.simulate").is_some());
-    }
-
-    #[test]
-    fn unobserved_run_carries_no_event_log() {
-        let mut cfg = ExpConfig::quick();
-        cfg.ms_span_secs = 30.0;
-        let run = EnvRun::new(Environment::Dev, &cfg).unwrap();
-        assert!(run.events.is_none());
     }
 
     #[test]

@@ -918,14 +918,7 @@ fn build_sim_inner(
     }
     let flight = spindle_obs::recorder::installed();
     if METRICS_ENABLED.load(Ordering::Relaxed) || flight.is_some() || rollups.is_some() {
-        // A trace export wants the event ring mirrored onto the
-        // timeline; a metrics-only run skips the ring entirely.
-        let cfg = if flight.is_some() {
-            ObsConfig::enabled()
-        } else {
-            ObsConfig::metrics_only()
-        };
-        let mut observer = SimObserver::new(spindle_obs::global(), &cfg);
+        let mut observer = SimObserver::new(spindle_obs::global(), &ObsConfig::metrics_only());
         if let Some(rec) = flight {
             observer = observer.with_flight(rec);
         }

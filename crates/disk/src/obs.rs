@@ -1,13 +1,14 @@
 //! Simulator instrumentation.
 //!
-//! [`SimObserver`] bundles pre-resolved metric handles, an optional
-//! event ring, and an optional flight recorder so
-//! [`DiskSim`](crate::sim::DiskSim) can record telemetry without any
-//! name lookups on the hot path. With no observer attached (the
-//! default) the simulator pays only an untaken `Option` branch per
-//! site, keeping benchmark numbers unchanged.
+//! [`SimObserver`] bundles pre-resolved metric handles and an optional
+//! flight recorder so [`DiskSim`](crate::sim::DiskSim) can record
+//! telemetry without any name lookups on the hot path. With no observer
+//! attached (the default) the simulator pays only an untaken `Option`
+//! branch per site, keeping benchmark numbers unchanged.
 //!
-//! Metric names exported here:
+//! Metric names exported here. The counters are the run's
+//! [`SimResult`] totals, added once at the end of each run; the
+//! histograms move per request.
 //!
 //! | name                       | kind      | meaning                                  |
 //! |----------------------------|-----------|------------------------------------------|
@@ -18,7 +19,8 @@
 //! | `disk.writes_forced`       | counter   | writes forced to the medium              |
 //! | `disk.destages`            | counter   | idle-time destage operations             |
 //! | `disk.seeks`               | counter   | mechanical service operations (each one  |
-//! |                            |           | repositions the head)                    |
+//! |                            |           | repositions the head): read misses +     |
+//! |                            |           | forced writes + destages                 |
 //! | `disk.media_errors`        | counter   | injected media errors (retried next rev) |
 //! | `disk.timeouts`            | counter   | injected command timeouts (retried)      |
 //! | `disk.response_us`         | histogram | host-visible response time (µs)          |
@@ -30,8 +32,6 @@
 //! |                            |           | (µs)                                     |
 //! | `disk.destage_us`          | histogram | idle-time destage duration (µs)          |
 //! | `disk.queue_depth`         | histogram | queue length at each dispatch            |
-//! | `events.dropped`           | gauge     | event-ring entries overwritten (only     |
-//! |                            |           | published when event tracing is on)      |
 //!
 //! The attribution histograms (`queue_us`/`seek_us`/`rotation_us`/
 //! `transfer_us`) decompose each request's latency into where the time
@@ -44,12 +44,16 @@
 //!
 //! When a [`FlightRecorder`] is attached with
 //! [`SimObserver::with_flight`], the simulator additionally records
-//! per-request lifecycle intervals and idle/destage activity on the
-//! simulated-time tracks listed in [`track`].
+//! per-request lifecycle intervals, idle/destage activity and one
+//! instant per [`EventKind`] occurrence on the simulated-time tracks
+//! listed in [`track`].
+//!
+//! [`SimResult`]: crate::sim::SimResult
 
+use crate::sim::SimResult;
 use spindle_obs::{
-    Counter, EventKind, EventLog, Exemplar, ExemplarHandle, FlightRecorder, Gauge, Histogram,
-    MetricsRegistry, ObsConfig, RollupSet, SliceArgs,
+    Counter, Exemplar, ExemplarHandle, FlightRecorder, Histogram, MetricsRegistry, ObsConfig,
+    RollupSet, SliceArgs,
 };
 use std::sync::Arc;
 
@@ -60,36 +64,87 @@ pub mod track {
     /// Per-request service intervals (dispatch → completion), plus
     /// idle-time destage operations.
     pub const SERVICE: &str = "drive.service";
-    /// Idle intervals (queue empty, waiting for arrivals).
+    /// Idle intervals (queue empty, waiting for arrivals or for the
+    /// idle wait before a destage).
     pub const IDLE: &str = "drive.idle";
-    /// Instant events mirroring the [`EventLog`](spindle_obs::EventLog)
-    /// ring (cache hits/misses, destages, enqueues, ...).
+    /// One instant per [`EventKind`](super::EventKind) occurrence
+    /// (cache hits/misses, destages, enqueues, ...), named by
+    /// [`EventKind::name`](super::EventKind::name) and carrying a
+    /// `detail` arg.
     pub const EVENTS: &str = "drive.events";
 }
 
+/// A simulator event, recorded as an instant on [`track::EVENTS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EventKind {
+    /// A request entered the scheduler queue.
+    RequestEnqueue,
+    /// The scheduler selected a request for service.
+    RequestDispatch,
+    /// A request completed (host-visible).
+    RequestComplete,
+    /// A request was satisfied by the cache (read hit or absorbed
+    /// write-back write).
+    CacheHit,
+    /// A request required mechanical service.
+    CacheMiss,
+    /// A dirty cache segment was destaged to the medium.
+    Destage,
+    /// The drive went idle (queue empty, waiting for arrivals).
+    IdleBegin,
+    /// The drive left an idle period.
+    IdleEnd,
+    /// A mechanical transfer hit an unreadable sector and retried on
+    /// the next revolution.
+    MediaError,
+    /// A command stalled past its deadline and was retried.
+    Timeout,
+}
+
+impl EventKind {
+    /// Stable lowercase name: the instant's name on the trace.
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKind::RequestEnqueue => "request_enqueue",
+            EventKind::RequestDispatch => "request_dispatch",
+            EventKind::RequestComplete => "request_complete",
+            EventKind::CacheHit => "cache_hit",
+            EventKind::CacheMiss => "cache_miss",
+            EventKind::Destage => "destage",
+            EventKind::IdleBegin => "idle_begin",
+            EventKind::IdleEnd => "idle_end",
+            EventKind::MediaError => "media_error",
+            EventKind::Timeout => "timeout",
+        }
+    }
+}
+
+/// The run-total counters [`SimObserver::settle`] publishes, in the
+/// order of the values it reads off the [`SimResult`].
+const RUN_COUNTERS: [&str; 9] = [
+    "disk.requests_completed",
+    "disk.read_hits",
+    "disk.read_misses",
+    "disk.writes_cached",
+    "disk.writes_forced",
+    "disk.destages",
+    "disk.seeks",
+    "disk.media_errors",
+    "disk.timeouts",
+];
+
 /// Pre-resolved telemetry handles for one simulator.
 ///
-/// Cloning shares the underlying metrics, event ring, and recorder.
+/// Cloning shares the underlying metrics and recorder.
 #[derive(Debug, Clone)]
 pub struct SimObserver {
-    pub(crate) requests_completed: Counter,
-    pub(crate) read_hits: Counter,
-    pub(crate) read_misses: Counter,
-    pub(crate) writes_cached: Counter,
-    pub(crate) writes_forced: Counter,
-    pub(crate) destages: Counter,
-    pub(crate) seeks: Counter,
-    pub(crate) media_errors: Counter,
-    pub(crate) timeouts: Counter,
+    /// [`RUN_COUNTERS`], resolved.
+    run_counters: [Counter; RUN_COUNTERS.len()],
     pub(crate) queue_depth: Histogram,
     /// Latency-attribution histograms (response plus components), each
     /// with one exemplar slot set linking tail buckets back to request
     /// ids.
     pub(crate) attribution: Attribution,
-    pub(crate) events: Option<Arc<EventLog>>,
-    /// Published only when event tracing is on, so a metrics-only run
-    /// does not export a meaningless zero.
-    pub(crate) events_dropped: Option<Gauge>,
     pub(crate) flight: Option<Arc<FlightRecorder>>,
     /// Optional simulated-time rollup wheel the attribution also feeds.
     pub(crate) rollups: Option<Arc<RollupSet>>,
@@ -148,33 +203,22 @@ pub(crate) struct Components {
 }
 
 impl SimObserver {
-    /// Resolves handles against `registry` and allocates the event ring
-    /// `config` asks for.
-    pub fn new(registry: &MetricsRegistry, config: &ObsConfig) -> Self {
-        let events = config.event_log();
-        let events_dropped = events.is_some().then(|| registry.gauge("events.dropped"));
+    /// Resolves handles against `registry`. Every [`ObsConfig`] gets
+    /// the same handles: per-event capture comes from
+    /// [`SimObserver::with_flight`], not from the configuration.
+    pub fn new(registry: &MetricsRegistry, _config: &ObsConfig) -> Self {
         SimObserver {
-            requests_completed: registry.counter("disk.requests_completed"),
-            read_hits: registry.counter("disk.read_hits"),
-            read_misses: registry.counter("disk.read_misses"),
-            writes_cached: registry.counter("disk.writes_cached"),
-            writes_forced: registry.counter("disk.writes_forced"),
-            destages: registry.counter("disk.destages"),
-            seeks: registry.counter("disk.seeks"),
-            media_errors: registry.counter("disk.media_errors"),
-            timeouts: registry.counter("disk.timeouts"),
+            run_counters: RUN_COUNTERS.map(|name| registry.counter(name)),
             queue_depth: registry.histogram("disk.queue_depth"),
             attribution: Attribution::new(registry),
-            events,
-            events_dropped,
             flight: None,
             rollups: None,
         }
     }
 
     /// Attaches a flight recorder: the simulator records per-request
-    /// lifecycle intervals and mirrors ring events onto simulated-time
-    /// tracks.
+    /// lifecycle intervals and its [`EventKind`] instants onto
+    /// simulated-time tracks.
     #[must_use]
     pub fn with_flight(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.flight = Some(recorder);
@@ -196,11 +240,6 @@ impl SimObserver {
         self.rollups.as_ref()
     }
 
-    /// The event ring, when event tracing is enabled.
-    pub fn event_log(&self) -> Option<Arc<EventLog>> {
-        self.events.clone()
-    }
-
     /// The attached flight recorder, if any.
     pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
         self.flight.as_ref()
@@ -208,14 +247,31 @@ impl SimObserver {
 
     #[inline]
     pub(crate) fn event(&self, t_ns: u64, kind: EventKind, detail: u64) {
-        if let Some(log) = &self.events {
-            log.record(t_ns, kind, detail);
-        }
         if let Some(rec) = &self.flight {
             rec.sim_instant(track::EVENTS, kind.name(), t_ns, || {
                 vec![("detail".to_owned(), spindle_obs::json::Json::Uint(detail))]
             });
         }
+    }
+
+    /// Records the idle interval `[from_ns, to_ns)`: an `idle` slice
+    /// bracketed by `idle_begin`/`idle_end` instants. An empty interval
+    /// records nothing.
+    #[inline]
+    pub(crate) fn idle(&self, from_ns: f64, to_ns: f64) {
+        if self.flight.is_none() || to_ns <= from_ns {
+            return;
+        }
+        let begin_ns = from_ns.round() as u64;
+        self.event(begin_ns, EventKind::IdleBegin, 0);
+        self.event(to_ns.round() as u64, EventKind::IdleEnd, 0);
+        self.sim_slice(
+            track::IDLE,
+            "idle",
+            begin_ns,
+            (to_ns - from_ns).round() as u64,
+            Vec::new,
+        );
     }
 
     /// Records an interval on a simulated-time track (no-op without a
@@ -319,18 +375,23 @@ impl SimObserver {
         }
     }
 
-    /// Publishes end-of-run telemetry derived from the ring: the
-    /// `events.dropped` gauge (and recorder metadata when both are
-    /// attached), so truncated traces are visible instead of silent.
-    pub fn settle(&self) {
-        if let (Some(log), Some(gauge)) = (&self.events, &self.events_dropped) {
-            gauge.set(i64::try_from(log.dropped()).unwrap_or(i64::MAX));
-        }
-        if let (Some(log), Some(rec)) = (&self.events, &self.flight) {
-            use spindle_obs::json::Json;
-            rec.set_meta("events.recorded", Json::Uint(log.total_recorded()));
-            rec.set_meta("events.dropped", Json::Uint(log.dropped()));
-            rec.set_meta("events.capacity", Json::Uint(log.capacity() as u64));
+    /// Publishes the run's totals: adds each [`SimResult`] count to its
+    /// `disk.*` counter, once per run. `disk.seeks` is derived: every
+    /// read miss, forced write and destage repositions the head.
+    pub(crate) fn settle(&self, result: &SimResult) {
+        let totals = [
+            result.completed.len() as u64,
+            result.read_hits,
+            result.read_misses,
+            result.writes_cached,
+            result.writes_forced,
+            result.destages,
+            result.read_misses + result.writes_forced + result.destages,
+            result.media_errors,
+            result.timeouts,
+        ];
+        for (counter, n) in self.run_counters.iter().zip(totals) {
+            counter.add(n);
         }
     }
 }
@@ -343,18 +404,54 @@ mod tests {
     fn observer_resolves_named_metrics() {
         let registry = MetricsRegistry::new();
         let obs = SimObserver::new(&registry, &ObsConfig::metrics_only());
-        assert!(obs.event_log().is_none());
         assert!(obs.flight().is_none());
-        obs.requests_completed.inc();
         obs.attribute_request(7, "read", 5_000, 250, 40, None);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("disk.requests_completed"), Some(1));
+        // Run counters are registered up front and move only at settle.
+        for name in RUN_COUNTERS {
+            assert_eq!(snap.counter(name), Some(0), "{name}");
+        }
         assert_eq!(snap.histogram("disk.response_us").unwrap().count, 1);
         assert_eq!(snap.histogram("disk.queue_us").unwrap().count, 1);
         // No mechanical components were supplied.
         assert_eq!(snap.histogram("disk.seek_us").unwrap().count, 0);
-        // Metrics-only observers do not publish the ring gauge.
         assert_eq!(snap.gauge("events.dropped"), None);
+    }
+
+    #[test]
+    fn settle_publishes_run_totals() {
+        let registry = MetricsRegistry::new();
+        let obs = SimObserver::new(&registry, &ObsConfig::metrics_only());
+        let result = SimResult {
+            completed: Vec::new(),
+            busy: crate::busy::BusyLogBuilder::new().finish(1).unwrap(),
+            read_hits: 1,
+            read_misses: 2,
+            writes_cached: 3,
+            writes_forced: 4,
+            destages: 5,
+            media_errors: 6,
+            timeouts: 7,
+        };
+        // Two runs through one observer accumulate.
+        obs.settle(&result);
+        obs.settle(&result);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("disk.requests_completed"), Some(0));
+        assert_eq!(snap.counter("disk.read_hits"), Some(2));
+        assert_eq!(snap.counter("disk.read_misses"), Some(4));
+        assert_eq!(snap.counter("disk.writes_cached"), Some(6));
+        assert_eq!(snap.counter("disk.writes_forced"), Some(8));
+        assert_eq!(snap.counter("disk.destages"), Some(10));
+        assert_eq!(snap.counter("disk.seeks"), Some(2 * (2 + 4 + 5)));
+        assert_eq!(snap.counter("disk.media_errors"), Some(12));
+        assert_eq!(snap.counter("disk.timeouts"), Some(14));
+    }
+
+    #[test]
+    fn kind_names_are_stable() {
+        assert_eq!(EventKind::RequestEnqueue.name(), "request_enqueue");
+        assert_eq!(EventKind::Destage.name(), "destage");
     }
 
     #[test]
@@ -405,28 +502,22 @@ mod tests {
 
     #[test]
     fn events_flow_only_when_enabled() {
+        // Events are recorded only by an attached flight recorder.
         let registry = MetricsRegistry::new();
-        let silent = SimObserver::new(&registry, &ObsConfig::metrics_only());
+        let silent = SimObserver::new(&registry, &ObsConfig::enabled());
         silent.event(5, EventKind::CacheHit, 0);
 
-        let traced = SimObserver::new(&registry, &ObsConfig::enabled());
+        let rec = Arc::new(FlightRecorder::new());
+        let traced =
+            SimObserver::new(&registry, &ObsConfig::metrics_only()).with_flight(Arc::clone(&rec));
         traced.event(5, EventKind::CacheHit, 77);
-        let log = traced.event_log().expect("ring allocated");
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.snapshot()[0].detail, 77);
-    }
-
-    #[test]
-    fn settle_publishes_dropped_count() {
-        let mut cfg = ObsConfig::enabled();
-        cfg.event_capacity = 2;
-        let registry = MetricsRegistry::new();
-        let obs = SimObserver::new(&registry, &cfg);
-        for t in 0..5 {
-            obs.event(t, EventKind::RequestEnqueue, t);
-        }
-        obs.settle();
-        assert_eq!(registry.snapshot().gauge("events.dropped"), Some(3));
+        let sim = rec.sim_slices();
+        assert_eq!(sim.len(), 1);
+        assert_eq!(sim[0].name, "cache_hit");
+        assert_eq!(
+            sim[0].args,
+            [("detail".to_owned(), spindle_obs::json::Json::Uint(77))]
+        );
     }
 
     #[test]
@@ -436,13 +527,12 @@ mod tests {
         let obs = SimObserver::new(&registry, &ObsConfig::enabled()).with_flight(Arc::clone(&rec));
         obs.event(10, EventKind::CacheMiss, 4096);
         obs.sim_slice(track::SERVICE, "read", 10, 500, vec![]);
-        obs.settle();
         let sim = rec.sim_slices();
         assert_eq!(sim.len(), 2);
         assert_eq!(sim[0].track, track::EVENTS);
         assert_eq!(sim[0].dur_ns, None);
         assert_eq!(sim[1].track, track::SERVICE);
         assert_eq!(sim[1].dur_ns, Some(500));
-        assert!(rec.meta().iter().any(|(k, _)| k == "events.dropped"));
+        assert!(rec.meta().is_empty(), "the observer adds no run metadata");
     }
 }

@@ -11,11 +11,10 @@
 use crate::busy::{BusyLog, BusyLogBuilder};
 use crate::cache::{CacheConfig, DiskCache, WriteOutcome};
 use crate::mechanics::{Mechanics, ServiceTiming};
-use crate::obs::{Components, SimObserver};
+use crate::obs::{Components, EventKind, SimObserver};
 use crate::profile::DriveProfile;
 use crate::scheduler::{Queued, RequestQueue, SchedulerKind};
 use crate::{DiskError, Result};
-use spindle_obs::EventKind;
 use spindle_trace::{OpKind, Request};
 use std::collections::BTreeSet;
 
@@ -26,8 +25,8 @@ use std::collections::BTreeSet;
 pub const TIMEOUT_PENALTY_NS: u64 = 500_000_000;
 
 /// Deterministic fault sites for one simulation run, keyed by the
-/// request's position in the stream (the same id the event log and
-/// timeline slices carry).
+/// request's position in the stream (the same id the trace's event
+/// instants and timeline slices carry).
 ///
 /// Injected via [`DiskSim::inject_faults`]; an empty set of faults is
 /// the (free) default. Faults only perturb *timing* — every request
@@ -232,8 +231,8 @@ impl DiskSim {
     }
 
     /// Attaches a telemetry observer; subsequent [`DiskSim::run`] calls
-    /// record counters, histograms, and (if the observer carries an
-    /// event ring) simulator events through it.
+    /// record histograms, run-total counters, and (if the observer
+    /// carries a flight recorder) simulator events through it.
     pub fn attach_observer(&mut self, obs: SimObserver) {
         self.obs = Some(obs);
     }
@@ -361,6 +360,9 @@ impl DiskSim {
                         None => self.flush_at_end,
                     };
                     if do_destage {
+                        if let Some(o) = &self.obs {
+                            o.idle(now, destage_at);
+                        }
                         let extent = self.cache.pop_dirty().expect("has_dirty checked");
                         let timing = self.mechanics.service(
                             head_track,
@@ -374,8 +376,6 @@ impl DiskSim {
                         head_track = self.mechanics.geometry().locate(extent.end() - 1)?.track;
                         destages += 1;
                         if let Some(o) = &self.obs {
-                            o.destages.inc();
-                            o.seeks.inc();
                             o.attribute_destage(
                                 extent.lba,
                                 destage_at.round() as u64,
@@ -401,17 +401,7 @@ impl DiskSim {
                 match upcoming {
                     Some(t) => {
                         if let Some(o) = &self.obs {
-                            if t > now {
-                                o.event(now.round() as u64, EventKind::IdleBegin, 0);
-                                o.event(t.round() as u64, EventKind::IdleEnd, 0);
-                                o.sim_slice(
-                                    crate::obs::track::IDLE,
-                                    "idle",
-                                    now.round() as u64,
-                                    (t - now).round() as u64,
-                                    Vec::new,
-                                );
-                            }
+                            o.idle(now, t);
                         }
                         now = now.max(t);
                         continue;
@@ -485,27 +475,18 @@ impl DiskSim {
             if let Some(o) = &self.obs {
                 o.event(start.round() as u64, EventKind::RequestDispatch, id);
                 if timeout_fault {
-                    o.timeouts.inc();
                     o.event(start.round() as u64, EventKind::Timeout, id);
                 }
                 if media_fault {
-                    o.media_errors.inc();
                     o.event(
                         (complete - media_ns).round() as u64,
                         EventKind::MediaError,
                         id,
                     );
                 }
-                match (r.op, cache_hit) {
-                    (OpKind::Read, true) => o.read_hits.inc(),
-                    (OpKind::Read, false) => o.read_misses.inc(),
-                    (OpKind::Write, true) => o.writes_cached.inc(),
-                    (OpKind::Write, false) => o.writes_forced.inc(),
-                }
                 let kind = if cache_hit {
                     EventKind::CacheHit
                 } else {
-                    o.seeks.inc();
                     EventKind::CacheMiss
                 };
                 o.event(start.round() as u64, kind, r.lba);
@@ -523,7 +504,6 @@ impl DiskSim {
                     (queue_ns / 1_000.0).round() as u64,
                     outcome.components(),
                 );
-                o.requests_completed.inc();
                 o.event(complete.round() as u64, EventKind::RequestComplete, id);
                 // Request lifecycle on the simulated-time tracks:
                 // enqueue → dispatch on the queue track, dispatch →
@@ -590,11 +570,8 @@ impl DiskSim {
             now = busy_end;
         }
 
-        if let Some(o) = &self.obs {
-            o.settle();
-        }
         let span = now.round().max(1.0) as u64;
-        Ok(SimResult {
+        let result = SimResult {
             completed,
             busy: busy.finish(span)?,
             read_hits,
@@ -604,7 +581,11 @@ impl DiskSim {
             destages,
             media_errors,
             timeouts,
-        })
+        };
+        if let Some(o) = &self.obs {
+            o.settle(&result);
+        }
+        Ok(result)
     }
 
     /// Services one request at `now`.
@@ -1011,15 +992,45 @@ mod tests {
         assert_eq!(result.destages, 0);
     }
 
+    /// The instants on the recorder's `drive.events` track, as
+    /// `(name, detail)` pairs in recording order.
+    fn drive_events(rec: &spindle_obs::FlightRecorder) -> Vec<(String, u64)> {
+        rec.sim_slices()
+            .into_iter()
+            .filter(|s| s.track == crate::obs::track::EVENTS)
+            .map(|s| {
+                let detail = s
+                    .args
+                    .iter()
+                    .find(|(k, _)| k == "detail")
+                    .and_then(|(_, v)| v.as_u64())
+                    .expect("every event instant carries a detail");
+                (s.name, detail)
+            })
+            .collect()
+    }
+
+    /// A simulator whose observer records into `registry` and a fresh
+    /// flight recorder.
+    fn traced_sim(
+        registry: &spindle_obs::MetricsRegistry,
+    ) -> (DiskSim, std::sync::Arc<spindle_obs::FlightRecorder>) {
+        use spindle_obs::{FlightRecorder, ObsConfig};
+        let rec = std::sync::Arc::new(FlightRecorder::new());
+        let mut s = sim();
+        s.attach_observer(
+            SimObserver::new(registry, &ObsConfig::enabled())
+                .with_flight(std::sync::Arc::clone(&rec)),
+        );
+        (s, rec)
+    }
+
     #[test]
     fn observer_counters_match_sim_result() {
-        use crate::obs::SimObserver;
-        use spindle_obs::{MetricsRegistry, ObsConfig};
+        use spindle_obs::MetricsRegistry;
 
         let registry = MetricsRegistry::new();
-        let mut s = sim();
-        s.attach_observer(SimObserver::new(&registry, &ObsConfig::enabled()));
-        let log = s.observer().unwrap().event_log().expect("events enabled");
+        let (mut s, rec) = traced_sim(&registry);
 
         // A mix of reads (some sequential for hits) and writes with idle
         // gaps so destaging kicks in.
@@ -1058,8 +1069,8 @@ mod tests {
         // Event stream consistency: one enqueue/dispatch/complete per
         // request, one cache event per request, one destage event per
         // destage operation.
-        let events = log.snapshot();
-        let count = |k| events.iter().filter(|e| e.kind == k).count() as u64;
+        let events = drive_events(&rec);
+        let count = |k: EventKind| events.iter().filter(|e| e.0 == k.name()).count() as u64;
         assert_eq!(count(EventKind::RequestEnqueue), total);
         assert_eq!(count(EventKind::RequestDispatch), total);
         assert_eq!(count(EventKind::RequestComplete), total);
@@ -1069,6 +1080,46 @@ mod tests {
         );
         assert_eq!(count(EventKind::Destage), result.destages);
         assert_eq!(count(EventKind::IdleBegin), count(EventKind::IdleEnd));
+    }
+
+    #[test]
+    fn idle_track_accounts_for_every_idle_nanosecond() {
+        use spindle_obs::MetricsRegistry;
+
+        // Alternating reads and write-back writes 50 ms apart: every
+        // write is destaged after the idle wait, so the drive idles both
+        // before each destage and before each arrival.
+        let reqs: Vec<Request> = (0..200u64)
+            .map(|i| {
+                if i % 2 == 0 {
+                    read(i * 50_000_000, (i * 7_919_000) % 8_000_000, 8)
+                } else {
+                    write(i * 50_000_000, 20_000_000 + i * 100_000, 32)
+                }
+            })
+            .collect();
+        let registry = MetricsRegistry::new();
+        let (mut s, rec) = traced_sim(&registry);
+        let result = s.run(&reqs).unwrap();
+        assert_eq!(result.destages, 100);
+
+        let idle: Vec<u64> = rec
+            .sim_slices()
+            .into_iter()
+            .filter(|s| s.track == crate::obs::track::IDLE)
+            .map(|s| s.dur_ns.expect("idle slices are intervals"))
+            .collect();
+        let traced: u64 = idle.iter().sum();
+        let expected = result.busy.total_idle_ns();
+        assert!(
+            traced.abs_diff(expected) <= idle.len() as u64,
+            "drive.idle sums to {traced} ns over {} slices, busy log idles {expected} ns",
+            idle.len()
+        );
+        let events = drive_events(&rec);
+        let count = |k: EventKind| events.iter().filter(|e| e.0 == k.name()).count();
+        assert_eq!(count(EventKind::IdleBegin), idle.len());
+        assert_eq!(count(EventKind::IdleEnd), idle.len());
     }
 
     #[test]
@@ -1175,13 +1226,10 @@ mod tests {
 
     #[test]
     fn fault_events_and_counters_reach_the_observer() {
-        use crate::obs::SimObserver;
-        use spindle_obs::{MetricsRegistry, ObsConfig};
+        use spindle_obs::MetricsRegistry;
 
         let registry = MetricsRegistry::new();
-        let mut s = sim();
-        s.attach_observer(SimObserver::new(&registry, &ObsConfig::enabled()));
-        let log = s.observer().unwrap().event_log().expect("events enabled");
+        let (mut s, rec) = traced_sim(&registry);
         let mut faults = SimFaults::default();
         faults.media_errors.insert(1);
         faults.timeouts.insert(2);
@@ -1195,18 +1243,18 @@ mod tests {
         assert_eq!(snap.counter("disk.media_errors"), Some(1));
         assert_eq!(snap.counter("disk.timeouts"), Some(1));
 
-        let events = log.snapshot();
+        let events = drive_events(&rec);
         let media: Vec<_> = events
             .iter()
-            .filter(|e| e.kind == EventKind::MediaError)
+            .filter(|e| e.0 == EventKind::MediaError.name())
             .collect();
         let timeouts: Vec<_> = events
             .iter()
-            .filter(|e| e.kind == EventKind::Timeout)
+            .filter(|e| e.0 == EventKind::Timeout.name())
             .collect();
         assert_eq!(media.len(), 1);
-        assert_eq!(media[0].detail, 1, "event names the request id");
+        assert_eq!(media[0].1, 1, "event names the request id");
         assert_eq!(timeouts.len(), 1);
-        assert_eq!(timeouts[0].detail, 2);
+        assert_eq!(timeouts[0].1, 2);
     }
 }

@@ -31,9 +31,6 @@
 //!   [`TraceContext`] the serve daemon mints per job attempt and hands
 //!   to children via `SPINDLE_TRACE_CONTEXT`, tying daemon lifecycle
 //!   spans and child flight-recorder spans into one causal trace.
-//! * [`events`] — a fixed-capacity ring-buffer [`EventLog`] for
-//!   simulator-level events (request enqueue/dispatch/complete, cache
-//!   hit/miss, destage, idle begin/end), gated behind [`ObsConfig`].
 //! * [`logger`] — a tiny leveled stderr logger behind the
 //!   [`progress!`]/[`detail!`] macros, driving `--verbose`/`--quiet`.
 //! * [`prom`] — a Prometheus text exposition encoder ([`PromSink`]),
@@ -53,9 +50,8 @@
 //! with no observer attached (the default) the added cost is a
 //! predicted-not-taken branch. Counter and histogram updates are single
 //! relaxed atomic operations on pre-resolved handles — no map lookups on
-//! the hot path. Event logging allocates nothing after construction and
-//! is entirely disabled unless an [`ObsConfig`] with `events: true` is
-//! supplied.
+//! the hot path. Per-event capture (the [`FlightRecorder`]) exists only
+//! when a caller attaches one for a trace export.
 //!
 //! # Example
 //!
@@ -85,7 +81,6 @@
 
 pub mod config;
 pub mod context;
-pub mod events;
 pub mod exemplar;
 pub mod frame;
 pub mod json;
@@ -100,7 +95,6 @@ pub mod trace_event;
 
 pub use config::ObsConfig;
 pub use context::TraceContext;
-pub use events::{Event, EventKind, EventLog};
 pub use exemplar::{Exemplar, ExemplarHandle, ExemplarStore};
 pub use frame::{Frame, FrameDecoder, FrameError, SpanBatch, SpanRec, WindowBatch};
 pub use logger::LogLevel;

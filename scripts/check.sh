@@ -96,6 +96,12 @@ run env SPINDLE_JOBS=2 cargo test $OFFLINE --workspace -q
 # binaries, end to end. Artifacts land in artifacts/ so CI can upload
 # them.
 run cargo build $OFFLINE --release -p spindle-cli -p spindle-bench
+# The benchmark's layer kernels build from their own workspace and
+# lock file against the crates' public API. Building them here turns an
+# API change that breaks them, or a dependency change that leaves their
+# lock stale, into a CI failure rather than a failed benchmark run.
+run env CARGO_TARGET_DIR=target cargo build $OFFLINE --locked --release \
+    --manifest-path perfbench/layers/Cargo.toml
 SPINDLE=target/release/spindle
 SMOKE=artifacts/smoke-trace.bin
 mkdir -p artifacts

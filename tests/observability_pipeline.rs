@@ -1,30 +1,33 @@
 //! Integration: a full generate → simulate pipeline run with
 //! observability enabled must account for every request, both in the
-//! metrics registry and in the event log, and the JSON export of that
-//! registry must round-trip through the parser.
+//! metrics registry and in the flight recorder's `drive.events` track,
+//! and the JSON export of that registry must round-trip through the
+//! parser.
 
 use spindle_bench::pipeline::EnvRun;
 use spindle_bench::ExpConfig;
-use spindle_disk::sim::SimConfig;
+use spindle_disk::obs::{track, EventKind, SimObserver};
+use spindle_disk::profile::DriveProfile;
+use spindle_disk::sim::{DiskSim, SimConfig};
 use spindle_obs::json::{self, Json};
 use spindle_obs::sink::{JsonSink, MetricsSink};
-use spindle_obs::{EventKind, MetricsRegistry, ObsConfig};
+use spindle_obs::{FlightRecorder, MetricsRegistry, ObsConfig};
 use spindle_synth::presets::Environment;
 use spindle_trace::OpKind;
+use std::sync::Arc;
 
 fn observed_run(env: Environment) -> (EnvRun, MetricsRegistry) {
     let mut cfg = ExpConfig::quick();
     cfg.ms_span_secs = 120.0;
-    // Size the ring so the full event stream of this short run fits
-    // without wrapping — the counting assertions need every event.
-    let obs_cfg = ObsConfig {
-        metrics: true,
-        events: true,
-        event_capacity: 1 << 20,
-    };
     let registry = MetricsRegistry::new();
-    let run = EnvRun::observed(env, &cfg, SimConfig::default(), &obs_cfg, &registry)
-        .expect("observed pipeline run succeeds");
+    let run = EnvRun::observed(
+        env,
+        &cfg,
+        SimConfig::default(),
+        &ObsConfig::enabled(),
+        &registry,
+    )
+    .expect("observed pipeline run succeeds");
     (run, registry)
 }
 
@@ -85,14 +88,32 @@ fn registry_accounts_for_every_request() {
 fn event_log_is_consistent_with_the_metrics() {
     let (run, registry) = observed_run(Environment::Web);
     let snap = registry.snapshot();
-    let log = run.events.expect("event tracing was enabled");
-    assert_eq!(
-        log.total_recorded(),
-        log.len() as u64,
-        "ring must not have wrapped for the counting assertions below"
+    // Replay the pipeline's requests with a private (unbounded) recorder
+    // attached: installing the process-global one would also catch the
+    // runs of the tests alongside.
+    let rec = Arc::new(FlightRecorder::new());
+    let mut sim = DiskSim::new(DriveProfile::cheetah_15k(), SimConfig::default());
+    sim.attach_observer(
+        SimObserver::new(&MetricsRegistry::new(), &ObsConfig::enabled())
+            .with_flight(Arc::clone(&rec)),
     );
-    let events = log.snapshot();
-    let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count() as u64;
+    let replay = sim.run(&run.requests).expect("replay succeeds");
+    assert_eq!(replay, run.sim, "the traced replay is the pipeline's run");
+    assert_eq!(rec.shed(), 0, "the counting assertions need every event");
+    let instants: Vec<_> = rec
+        .sim_slices()
+        .into_iter()
+        .filter(|s| s.track == track::EVENTS)
+        .collect();
+    for s in &instants {
+        assert_eq!(s.dur_ns, None, "{}: events are instants", s.name);
+        assert!(
+            s.args.iter().any(|(k, _)| k == "detail"),
+            "{}: every event carries a detail",
+            s.name
+        );
+    }
+    let count = |k: EventKind| instants.iter().filter(|s| s.name == k.name()).count() as u64;
     let total = run.requests.len() as u64;
 
     assert_eq!(count(EventKind::RequestEnqueue), total);
@@ -114,10 +135,10 @@ fn event_log_is_consistent_with_the_metrics() {
     );
     assert_eq!(count(EventKind::IdleBegin), count(EventKind::IdleEnd));
 
-    // Timestamps come out of the ring oldest-first.
-    for w in events.windows(2) {
+    // The recorder keeps events in emission order, oldest first.
+    for w in instants.windows(2) {
         assert!(
-            w[1].t_ns >= w[0].t_ns || w[1].kind == EventKind::RequestEnqueue,
+            w[1].begin_ns >= w[0].begin_ns || w[1].name == EventKind::RequestEnqueue.name(),
             "non-enqueue events are emitted in simulation-time order"
         );
     }
@@ -173,5 +194,4 @@ fn disabled_observability_changes_nothing() {
     assert_eq!(plain.requests, observed.requests);
     assert_eq!(plain.sim.completed, observed.sim.completed);
     assert_eq!(plain.sim.busy, observed.sim.busy);
-    assert!(plain.events.is_none());
 }
