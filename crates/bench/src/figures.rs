@@ -1,7 +1,7 @@
 //! Figure experiments `F1`–`F10`.
 
-use crate::pipeline::{standard_family, EnvRun};
-use crate::{ExpConfig, Result};
+use crate::pipeline::Inputs;
+use crate::Result;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spindle_core::burstiness::BurstinessAnalysis;
@@ -18,8 +18,8 @@ use spindle_synth::presets::Environment;
 /// # Errors
 ///
 /// Propagates generation, simulation, and analysis errors.
-pub fn f1(cfg: &ExpConfig) -> Result<Figure> {
-    let run = EnvRun::new(Environment::Mail, cfg)?;
+pub fn f1(inputs: &Inputs) -> Result<Figure> {
+    let run = inputs.env(Environment::Mail)?;
     let series = run.millisecond()?.utilization_series(60.0)?;
     let mut fig = Figure::new(
         "F1: utilization over time (mail, per-minute)",
@@ -43,14 +43,14 @@ pub fn f1(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation, simulation, and analysis errors.
-pub fn f2(cfg: &ExpConfig) -> Result<Figure> {
+pub fn f2(inputs: &Inputs) -> Result<Figure> {
     let mut fig = Figure::new(
         "F2: idle interval CDF",
         "idle interval length (s)",
         "P[length <= x]",
     );
     for env in Environment::all() {
-        let run = EnvRun::new(env, cfg)?;
+        let run = inputs.env(env)?;
         let cdf = run.idle()?.idle_cdf()?;
         fig.push_series(env.name(), log_grid_cdf(&cdf, false));
     }
@@ -62,14 +62,14 @@ pub fn f2(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation, simulation, and analysis errors.
-pub fn f3(cfg: &ExpConfig) -> Result<Figure> {
+pub fn f3(inputs: &Inputs) -> Result<Figure> {
     let mut fig = Figure::new(
         "F3: busy period CCDF",
         "busy period length (s)",
         "P[length > x]",
     );
     for env in Environment::all() {
-        let run = EnvRun::new(env, cfg)?;
+        let run = inputs.env(env)?;
         let cdf = run.idle()?.busy_cdf()?;
         fig.push_series(env.name(), log_grid_cdf(&cdf, true));
     }
@@ -97,7 +97,8 @@ fn log_grid_cdf(cdf: &spindle_stats::ecdf::Ecdf, complement: bool) -> Vec<(f64, 
 /// # Errors
 ///
 /// Propagates generation and analysis errors.
-pub fn f4(cfg: &ExpConfig) -> Result<Figure> {
+pub fn f4(inputs: &Inputs) -> Result<Figure> {
+    let cfg = inputs.cfg();
     let max_lag = 100usize;
     let mut fig = Figure::new(
         "F4: ACF of arrival counts (1 s intervals)",
@@ -105,7 +106,7 @@ pub fn f4(cfg: &ExpConfig) -> Result<Figure> {
         "autocorrelation",
     );
     for env in [Environment::Mail, Environment::Web] {
-        let run = EnvRun::new(env, cfg)?;
+        let run = inputs.env(env)?;
         let events = run.millisecond()?.arrival_times_secs();
         let b = BurstinessAnalysis::new(&events, cfg.ms_span_secs, 1.0)?;
         let r = b.acf(max_lag)?;
@@ -136,13 +137,14 @@ pub fn f4(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation and analysis errors.
-pub fn f5(cfg: &ExpConfig) -> Result<Figure> {
+pub fn f5(inputs: &Inputs) -> Result<Figure> {
+    let cfg = inputs.cfg();
     let mut fig = Figure::new(
         "F5: variance-time plot and Hurst estimates",
         "log10(aggregation scale)",
         "log10(variance of aggregated counts)",
     );
-    let run = EnvRun::new(Environment::Mail, cfg)?;
+    let run = inputs.env(Environment::Mail)?;
     let events = run.millisecond()?.arrival_times_secs();
     let b = BurstinessAnalysis::new(&events, cfg.ms_span_secs, 1.0)?;
     let est = spindle_stats::hurst::aggregated_variance(b.counts())?;
@@ -179,8 +181,8 @@ pub fn f5(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation errors.
-pub fn f6(cfg: &ExpConfig) -> Result<Figure> {
-    let family = standard_family(cfg)?;
+pub fn f6(inputs: &Inputs) -> Result<Figure> {
+    let family = inputs.family()?;
     let mut fig = Figure::new(
         "F6: hourly operations over time (4 family drives)",
         "hour",
@@ -205,8 +207,8 @@ pub fn f6(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation and analysis errors.
-pub fn f7(cfg: &ExpConfig) -> Result<Figure> {
-    let family = standard_family(cfg)?;
+pub fn f7(inputs: &Inputs) -> Result<Figure> {
+    let family = inputs.family()?;
     let a = HourAnalysis::new(&family[0].series)?;
     let mut fig = Figure::new(
         "F7: per-hour write fraction (drive-0)",
@@ -230,8 +232,8 @@ pub fn f7(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation and analysis errors.
-pub fn f8(cfg: &ExpConfig) -> Result<Figure> {
-    let family = standard_family(cfg)?;
+pub fn f8(inputs: &Inputs) -> Result<Figure> {
+    let family = inputs.family()?;
     let lifetimes: Vec<_> = family.iter().map(|d| d.lifetime).collect();
     let a = FamilyAnalysis::new(&lifetimes)?;
     let mut fig = Figure::new(
@@ -258,8 +260,8 @@ pub fn f8(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation and analysis errors.
-pub fn f9(cfg: &ExpConfig) -> Result<Figure> {
-    let family = standard_family(cfg)?;
+pub fn f9(inputs: &Inputs) -> Result<Figure> {
+    let family = inputs.family()?;
     let series: Vec<_> = family.iter().map(|d| d.series.clone()).collect();
     let curve = saturation_curve(&series, 0.99, 24)?;
     let mut fig = Figure::new(
@@ -291,9 +293,9 @@ pub fn f9(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation, simulation, and analysis errors.
-pub fn f10(cfg: &ExpConfig) -> Result<Figure> {
-    let run = EnvRun::new(Environment::Mail, cfg)?;
-    let family = standard_family(cfg)?;
+pub fn f10(inputs: &Inputs) -> Result<Figure> {
+    let run = inputs.env(Environment::Mail)?;
+    let family = inputs.family()?;
     let lifetimes: Vec<_> = family.iter().map(|d| d.lifetime).collect();
     let x = rw_across_scales(&run.requests, &family[0].series, &lifetimes)?;
     let mut fig = Figure::new(
@@ -326,7 +328,7 @@ pub fn f10(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation and analysis errors.
-pub fn f11(cfg: &ExpConfig) -> Result<Figure> {
+pub fn f11(inputs: &Inputs) -> Result<Figure> {
     use spindle_core::spatial::SpatialAnalysis;
     let mut fig = Figure::new(
         "F11: sequential run lengths and jump distances",
@@ -334,7 +336,7 @@ pub fn f11(cfg: &ExpConfig) -> Result<Figure> {
         "P[X > x]",
     );
     for env in [Environment::Archive, Environment::Mail] {
-        let run = EnvRun::new(env, cfg)?;
+        let run = inputs.env(env)?;
         let a = SpatialAnalysis::new(&run.requests)?;
         let runs = a.run_length_cdf()?;
         fig.push_series(
@@ -354,7 +356,7 @@ pub fn f11(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation, simulation, and analysis errors.
-pub fn f12(cfg: &ExpConfig) -> Result<Figure> {
+pub fn f12(inputs: &Inputs) -> Result<Figure> {
     use spindle_core::background::idle_wait_sweep;
     let waits = [0.0, 0.01, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0];
     let mut fig = Figure::new(
@@ -363,7 +365,7 @@ pub fn f12(cfg: &ExpConfig) -> Result<Figure> {
         "productive seconds per hour",
     );
     for env in Environment::all() {
-        let run = EnvRun::new(env, cfg)?;
+        let run = inputs.env(env)?;
         let sweep = idle_wait_sweep(&run.sim.busy, &waits, 0.1, 1.0)?;
         fig.push_series(
             env.name(),
@@ -383,7 +385,7 @@ pub fn f12(cfg: &ExpConfig) -> Result<Figure> {
 /// # Errors
 ///
 /// Propagates generation, simulation, and evaluation errors.
-pub fn f13(cfg: &ExpConfig) -> Result<Figure> {
+pub fn f13(inputs: &Inputs) -> Result<Figure> {
     use spindle_disk::power::{timeout_sweep, PowerModel};
     let timeouts = [1.0, 5.0, 20.0, 60.0, 300.0, 1800.0];
     let model = PowerModel::enterprise_15k();
@@ -393,7 +395,7 @@ pub fn f13(cfg: &ExpConfig) -> Result<Figure> {
         "mean power (W) / recovery delay (s per hour)",
     );
     for env in Environment::all() {
-        let run = EnvRun::new(env, cfg)?;
+        let run = inputs.env(env)?;
         let sweep = timeout_sweep(&model, &run.sim.busy, &timeouts)?;
         fig.push_series(
             format!("{}-watts", env.name()),
@@ -413,14 +415,20 @@ pub fn f13(cfg: &ExpConfig) -> Result<Figure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExpConfig;
 
     fn cfg() -> ExpConfig {
         ExpConfig::quick()
     }
 
+    /// A context holding the inputs experiment `id` declares.
+    fn inputs(id: &str) -> Inputs {
+        crate::matrix::inputs_for(&[id], &cfg())
+    }
+
     #[test]
     fn f13_power_tradeoff_has_the_right_shape() {
-        let fig = f13(&cfg()).unwrap();
+        let fig = f13(&inputs("f13")).unwrap();
         assert_eq!(fig.series.len(), 8);
         for s in &fig.series {
             if s.label.ends_with("-watts") {
@@ -457,7 +465,7 @@ mod tests {
 
     #[test]
     fn f1_utilization_is_bounded() {
-        let fig = f1(&cfg()).unwrap();
+        let fig = f1(&inputs("f1")).unwrap();
         let pts = &fig.series[0].points;
         assert!(!pts.is_empty());
         assert!(pts.iter().all(|&(_, u)| (0.0..=1.0).contains(&u)));
@@ -465,7 +473,7 @@ mod tests {
 
     #[test]
     fn f2_cdfs_are_monotone_and_reach_one() {
-        let fig = f2(&cfg()).unwrap();
+        let fig = f2(&inputs("f2")).unwrap();
         assert_eq!(fig.series.len(), 4);
         for s in &fig.series {
             for w in s.points.windows(2) {
@@ -477,7 +485,7 @@ mod tests {
 
     #[test]
     fn f3_ccdfs_are_decreasing() {
-        let fig = f3(&cfg()).unwrap();
+        let fig = f3(&inputs("f3")).unwrap();
         for s in &fig.series {
             for w in s.points.windows(2) {
                 assert!(w[1].1 <= w[0].1 + 1e-12);
@@ -487,7 +495,7 @@ mod tests {
 
     #[test]
     fn f4_environments_are_more_correlated_than_poisson() {
-        let fig = f4(&cfg()).unwrap();
+        let fig = f4(&inputs("f4")).unwrap();
         assert_eq!(fig.series.len(), 3);
         // Mean ACF over lags 1..20.
         let mean_acf = |s: &spindle_core::report::Series| {
@@ -502,7 +510,7 @@ mod tests {
     fn f5_mail_slope_is_shallower_than_poisson() {
         // Variance of the m-aggregated series decays like m^(2H-2):
         // shallower slope = higher H = burstier.
-        let fig = f5(&cfg()).unwrap();
+        let fig = f5(&inputs("f5")).unwrap();
         let slope = |pts: &[(f64, f64)]| {
             let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
             let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
@@ -518,7 +526,7 @@ mod tests {
 
     #[test]
     fn f6_has_four_drives_with_cycles() {
-        let fig = f6(&cfg()).unwrap();
+        let fig = f6(&inputs("f6")).unwrap();
         assert_eq!(fig.series.len(), 4);
         for s in &fig.series {
             assert_eq!(s.points.len(), (cfg().hour_weeks * 168) as usize);
@@ -527,20 +535,20 @@ mod tests {
 
     #[test]
     fn f7_write_fractions_are_valid() {
-        let fig = f7(&cfg()).unwrap();
+        let fig = f7(&inputs("f7")).unwrap();
         let wf = &fig.series[0].points;
         assert!(wf.iter().all(|&(_, v)| (0.0..=1.0).contains(&v)));
     }
 
     #[test]
     fn f8_family_cdf_reaches_one() {
-        let fig = f8(&cfg()).unwrap();
+        let fig = f8(&inputs("f8")).unwrap();
         assert!((fig.series[0].points.last().unwrap().1 - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn f9_a_portion_saturates_for_hours() {
-        let fig = f9(&cfg()).unwrap();
+        let fig = f9(&inputs("f9")).unwrap();
         let at_2h = fig.series[0].points[1].1;
         assert!(at_2h > 0.02, "fraction with >=2h saturation {at_2h}");
         assert!(at_2h < 0.5);
@@ -552,7 +560,7 @@ mod tests {
 
     #[test]
     fn f11_archive_runs_dominate_mail_runs() {
-        let fig = f11(&cfg()).unwrap();
+        let fig = f11(&inputs("f11")).unwrap();
         assert_eq!(fig.series.len(), 4);
         // Mean run length is embedded in the label; parse it back out.
         let mean_of = |label_prefix: &str| -> f64 {
@@ -574,7 +582,7 @@ mod tests {
 
     #[test]
     fn f12_budget_decreases_with_idle_wait() {
-        let fig = f12(&cfg()).unwrap();
+        let fig = f12(&inputs("f12")).unwrap();
         assert_eq!(fig.series.len(), 4);
         for s in &fig.series {
             for w in s.points.windows(2) {
@@ -597,7 +605,7 @@ mod tests {
 
     #[test]
     fn f10_write_shares_are_consistent_across_scales() {
-        let fig = f10(&cfg()).unwrap();
+        let fig = f10(&inputs("f10")).unwrap();
         let ops = &fig.series[0].points;
         for &(_, share) in ops {
             assert!((0.3..0.9).contains(&share), "write share {share}");

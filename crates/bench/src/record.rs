@@ -22,7 +22,10 @@ use spindle_obs::json::Json;
 pub struct BenchRecord {
     /// Experiment id (`t1`, `f5`, ...).
     pub id: String,
-    /// Wall-clock seconds the experiment took on its worker.
+    /// Wall-clock seconds the experiment took on its worker. A shared
+    /// input is built once per matrix run, by its first reader, so its
+    /// cost is charged to that experiment alone (a reader that waits
+    /// for it meanwhile counts the wait).
     pub secs: f64,
     /// Whether the experiment produced output (failures record `false`
     /// so a regression cannot masquerade as a speedup).

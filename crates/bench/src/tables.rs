@@ -1,10 +1,11 @@
 //! Table experiments `T1`–`T6`.
 
-use crate::pipeline::{standard_family, EnvRun};
-use crate::{ExpConfig, Result};
+use crate::pipeline::{self, Inputs};
+use crate::Result;
 use spindle_core::hour::HourAnalysis;
-use spindle_core::idle::AVAILABILITY_THRESHOLDS;
+use spindle_core::idle::{IdleAnalysis, AVAILABILITY_THRESHOLDS};
 use spindle_core::lifetime::FamilyAnalysis;
+use spindle_core::millisecond::MillisecondAnalysis;
 use spindle_core::report::{cell, Table};
 use spindle_disk::cache::CacheConfig;
 use spindle_disk::scheduler::SchedulerKind;
@@ -20,7 +21,8 @@ use spindle_trace::{Granularity, TraceMeta};
 /// # Errors
 ///
 /// Never fails in practice; kept fallible for interface uniformity.
-pub fn t1(cfg: &ExpConfig) -> Result<Table> {
+pub fn t1(inputs: &Inputs) -> Result<Table> {
+    let cfg = inputs.cfg();
     let metas = [
         (
             TraceMeta::new(
@@ -81,7 +83,7 @@ pub fn t1(cfg: &ExpConfig) -> Result<Table> {
 /// # Errors
 ///
 /// Propagates generation, simulation, and analysis errors.
-pub fn t2(cfg: &ExpConfig) -> Result<Table> {
+pub fn t2(inputs: &Inputs) -> Result<Table> {
     let mut t = Table::new(
         "T2: millisecond-trace workload summary",
         &[
@@ -89,7 +91,7 @@ pub fn t2(cfg: &ExpConfig) -> Result<Table> {
         ],
     );
     for env in Environment::all() {
-        let run = EnvRun::new(env, cfg)?;
+        let run = inputs.env(env)?;
         let s = run.summary()?;
         t.push_row(vec![
             env.name().to_owned(),
@@ -112,7 +114,7 @@ pub fn t2(cfg: &ExpConfig) -> Result<Table> {
 /// # Errors
 ///
 /// Propagates generation, simulation, and analysis errors.
-pub fn t3(cfg: &ExpConfig) -> Result<Table> {
+pub fn t3(inputs: &Inputs) -> Result<Table> {
     let mut t = Table::new(
         "T3: idleness availability (fraction of idle time in intervals >= threshold)",
         &[
@@ -120,7 +122,7 @@ pub fn t3(cfg: &ExpConfig) -> Result<Table> {
         ],
     );
     for env in Environment::all() {
-        let run = EnvRun::new(env, cfg)?;
+        let run = inputs.env(env)?;
         let idle = run.idle()?;
         let rows = idle.availability(&AVAILABILITY_THRESHOLDS);
         let mut cells = vec![env.name().to_owned(), cell(idle.idle_fraction() * 100.0, 1)];
@@ -136,8 +138,8 @@ pub fn t3(cfg: &ExpConfig) -> Result<Table> {
 /// # Errors
 ///
 /// Propagates generation and analysis errors.
-pub fn t4(cfg: &ExpConfig) -> Result<Table> {
-    let family = standard_family(cfg)?;
+pub fn t4(inputs: &Inputs) -> Result<Table> {
+    let family = inputs.family()?;
     let mut t = Table::new(
         "T4: hour-scale statistics across drives",
         &[
@@ -151,10 +153,10 @@ pub fn t4(cfg: &ExpConfig) -> Result<Table> {
             "acf24",
         ],
     );
-    let shown = cfg.t4_drives.min(family.len() as u32) as usize;
+    let shown = inputs.cfg().t4_drives.min(family.len() as u32) as usize;
     let mut sums = [0.0f64; 7];
     let mut analyzed = 0usize;
-    for d in &family {
+    for d in family.iter() {
         let a = HourAnalysis::new(&d.series)?;
         let Ok(s) = a.summary() else {
             continue; // fully idle drive: no hour-scale statistics
@@ -204,8 +206,8 @@ pub fn t4(cfg: &ExpConfig) -> Result<Table> {
 /// # Errors
 ///
 /// Propagates generation and analysis errors.
-pub fn t5(cfg: &ExpConfig) -> Result<Table> {
-    let family = standard_family(cfg)?;
+pub fn t5(inputs: &Inputs) -> Result<Table> {
+    let family = inputs.family()?;
     let lifetimes: Vec<_> = family.iter().map(|d| d.lifetime).collect();
     let a = FamilyAnalysis::new(&lifetimes)?;
     let mut t = Table::new(
@@ -236,7 +238,8 @@ pub fn t5(cfg: &ExpConfig) -> Result<Table> {
 /// # Errors
 ///
 /// Propagates generation, simulation, and analysis errors.
-pub fn t6(cfg: &ExpConfig) -> Result<Table> {
+pub fn t6(inputs: &Inputs) -> Result<Table> {
+    let mail = inputs.env(Environment::Mail)?;
     let mut t = Table::new(
         "T6: scheduler / write-back ablation (mail workload)",
         &[
@@ -258,9 +261,9 @@ pub fn t6(cfg: &ExpConfig) -> Result<Table> {
                 cache: Some(cache),
                 flush_at_end: true,
             };
-            let run = EnvRun::with_sim_config(Environment::Mail, cfg, sim_cfg)?;
-            let s = run.summary()?;
-            let idle = run.idle()?;
+            let sim = pipeline::simulate(&mail.requests, sim_cfg)?;
+            let s = MillisecondAnalysis::new(&mail.requests, &sim)?.summary()?;
+            let idle = IdleAnalysis::new(&sim.busy)?;
             t.push_row(vec![
                 scheduler.to_string(),
                 if write_back { "on" } else { "off" }.to_owned(),
@@ -268,7 +271,7 @@ pub fn t6(cfg: &ExpConfig) -> Result<Table> {
                 cell(s.mean_response_ms, 2),
                 cell(idle.idle_fraction() * 100.0, 1),
                 cell(idle.mean_idle_secs().unwrap_or(0.0), 3),
-                run.sim.destages.to_string(),
+                sim.destages.to_string(),
             ]);
         }
     }
@@ -281,7 +284,7 @@ pub fn t6(cfg: &ExpConfig) -> Result<Table> {
 /// # Errors
 ///
 /// Propagates generation, simulation, and analysis errors.
-pub fn t7(cfg: &ExpConfig) -> Result<Table> {
+pub fn t7(inputs: &Inputs) -> Result<Table> {
     use spindle_core::response::ResponseAnalysis;
     let mut t = Table::new(
         "T7: response-time percentiles (ms) per environment",
@@ -290,7 +293,7 @@ pub fn t7(cfg: &ExpConfig) -> Result<Table> {
         ],
     );
     for env in Environment::all() {
-        let run = EnvRun::new(env, cfg)?;
+        let run = inputs.env(env)?;
         let a = ResponseAnalysis::new(&run.sim)?;
         let classes = a.classes()?;
         let all = classes
@@ -325,7 +328,8 @@ pub fn t7(cfg: &ExpConfig) -> Result<Table> {
 /// # Errors
 ///
 /// Propagates generation, simulation, and analysis errors.
-pub fn t8(cfg: &ExpConfig) -> Result<Table> {
+pub fn t8(inputs: &Inputs) -> Result<Table> {
+    let web = inputs.env(Environment::Web)?;
     let mut t = Table::new(
         "T8: cache ablation (web workload)",
         &[
@@ -346,17 +350,14 @@ pub fn t8(cfg: &ExpConfig) -> Result<Table> {
                 cache: Some(cache),
                 ..SimConfig::default()
             };
-            let run = EnvRun::with_sim_config(Environment::Web, cfg, sim_cfg)?;
-            let s = run.summary()?;
-            let writes = run.sim.writes_cached + run.sim.writes_forced;
+            let sim = pipeline::simulate(&web.requests, sim_cfg)?;
+            let s = MillisecondAnalysis::new(&web.requests, &sim)?.summary()?;
+            let writes = sim.writes_cached + sim.writes_forced;
             t.push_row(vec![
                 (read_ahead_sectors / 2).to_string(),
                 max_dirty.to_string(),
-                cell(run.sim.read_hit_ratio().unwrap_or(0.0) * 100.0, 1),
-                cell(
-                    run.sim.writes_cached as f64 / writes.max(1) as f64 * 100.0,
-                    1,
-                ),
+                cell(sim.read_hit_ratio().unwrap_or(0.0) * 100.0, 1),
+                cell(sim.writes_cached as f64 / writes.max(1) as f64 * 100.0, 1),
                 cell(s.mean_response_ms, 2),
                 cell(s.mean_utilization, 3),
             ]);
@@ -368,20 +369,26 @@ pub fn t8(cfg: &ExpConfig) -> Result<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExpConfig;
 
     fn cfg() -> ExpConfig {
         ExpConfig::quick()
     }
 
+    /// A context holding the inputs experiment `id` declares.
+    fn inputs(id: &str) -> Inputs {
+        crate::matrix::inputs_for(&[id], &cfg())
+    }
+
     #[test]
     fn t1_lists_three_sets() {
-        let t = t1(&cfg()).unwrap();
+        let t = t1(&inputs("t1")).unwrap();
         assert_eq!(t.len(), 3);
     }
 
     #[test]
     fn t2_shows_moderate_utilization_everywhere() {
-        let t = t2(&cfg()).unwrap();
+        let t = t2(&inputs("t2")).unwrap();
         assert_eq!(t.len(), 4);
         for row in t.rows() {
             let util: f64 = row[7].parse().unwrap();
@@ -392,7 +399,7 @@ mod tests {
 
     #[test]
     fn t3_idle_time_is_dominated_by_long_intervals() {
-        let t = t3(&cfg()).unwrap();
+        let t = t3(&inputs("t3")).unwrap();
         for row in t.rows() {
             let idle_pct: f64 = row[1].parse().unwrap();
             assert!(idle_pct > 60.0, "{}: only {idle_pct}% idle", row[0]);
@@ -413,7 +420,7 @@ mod tests {
 
     #[test]
     fn t4_shows_hour_scale_burstiness() {
-        let t = t4(&cfg()).unwrap();
+        let t = t4(&inputs("t4")).unwrap();
         let mean_row = t.rows().last().unwrap();
         let p2m: f64 = mean_row[3].parse().unwrap();
         assert!(p2m > 1.5, "family mean peak-to-mean {p2m}");
@@ -423,7 +430,7 @@ mod tests {
 
     #[test]
     fn t5_percentiles_are_monotone_with_heavy_tail() {
-        let t = t5(&cfg()).unwrap();
+        let t = t5(&inputs("t5")).unwrap();
         let utils: Vec<f64> = t
             .rows()
             .iter()
@@ -439,7 +446,7 @@ mod tests {
 
     #[test]
     fn t7_tails_are_amplified_by_burstiness() {
-        let t = t7(&cfg()).unwrap();
+        let t = t7(&inputs("t7")).unwrap();
         assert_eq!(t.len(), 4);
         for row in t.rows() {
             let p50: f64 = row[2].parse().unwrap();
@@ -452,7 +459,7 @@ mod tests {
 
     #[test]
     fn t8_read_ahead_earns_hits_on_web() {
-        let t = t8(&cfg()).unwrap();
+        let t = t8(&inputs("t8")).unwrap();
         assert_eq!(t.len(), 8);
         // No read-ahead rows come first; deep read-ahead rows last.
         let no_ra: f64 = t.rows()[0][2].parse().unwrap();
@@ -469,7 +476,7 @@ mod tests {
 
     #[test]
     fn t6_write_back_reduces_response_time() {
-        let t = t6(&cfg()).unwrap();
+        let t = t6(&inputs("t6")).unwrap();
         assert_eq!(t.len(), 8);
         // Compare write-back on/off for each scheduler.
         for pair in t.rows().chunks(2) {

@@ -92,7 +92,6 @@ impl<F: FnOnce() -> Vec<(String, Json)>> SliceArgs for F {
 struct Inner {
     sim: Vec<SimSlice>,
     wall: Vec<WallSlice>,
-    meta: Vec<(String, Json)>,
 }
 
 /// A thread-safe recorder of simulated-time and wall-clock slices.
@@ -118,8 +117,7 @@ impl FlightRecorder {
 
     /// An empty recorder that keeps the first `cap` simulated-time
     /// slices and counts every later one in [`shed`](Self::shed)
-    /// without building it. Wall-clock slices and metadata are not
-    /// capped.
+    /// without building it. Wall-clock slices are not capped.
     #[must_use]
     pub fn bounded(cap: usize) -> Self {
         FlightRecorder {
@@ -205,16 +203,6 @@ impl FlightRecorder {
         });
     }
 
-    /// Attaches a run-level metadata entry (exported verbatim in the
-    /// trace document). A repeated key overwrites the earlier value.
-    pub fn set_meta(&self, key: &str, value: Json) {
-        let mut inner = self.lock();
-        match inner.meta.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v = value,
-            None => inner.meta.push((key.to_owned(), value)),
-        }
-    }
-
     /// The simulated-time slices recorded so far (insertion order).
     #[must_use]
     pub fn sim_slices(&self) -> Vec<SimSlice> {
@@ -234,17 +222,11 @@ impl FlightRecorder {
         self.lock().wall.clone()
     }
 
-    /// The metadata entries recorded so far.
-    #[must_use]
-    pub fn meta(&self) -> Vec<(String, Json)> {
-        self.lock().meta.clone()
-    }
-
     /// True when nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         let inner = self.lock();
-        inner.sim.is_empty() && inner.wall.is_empty() && inner.meta.is_empty()
+        inner.sim.is_empty() && inner.wall.is_empty()
     }
 }
 
@@ -356,17 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn meta_overwrites_by_key() {
-        let rec = FlightRecorder::new();
-        rec.set_meta("k", Json::Uint(1));
-        rec.set_meta("k", Json::Uint(2));
-        rec.set_meta("other", Json::Str("x".into()));
-        let meta = rec.meta();
-        assert_eq!(meta.len(), 2);
-        assert_eq!(meta[0], ("k".to_owned(), Json::Uint(2)));
-    }
-
-    #[test]
     fn install_replaces_and_uninstall_clears() {
         let a = Arc::new(FlightRecorder::new());
         let b = Arc::new(FlightRecorder::new());
@@ -404,17 +375,15 @@ mod tests {
     }
 
     #[test]
-    fn bounded_leaves_wall_slices_and_meta_uncapped() {
+    fn bounded_leaves_wall_slices_uncapped() {
         let rec = FlightRecorder::bounded(1);
         for _ in 0..4 {
             rec.sim_slice("t", "op", 0, 1, Vec::new);
             rec.wall_slice("span", Instant::now(), Duration::from_nanos(1), vec![]);
         }
-        rec.set_meta("k", Json::Uint(1));
         assert_eq!(rec.sim_slices().len(), 1);
         assert_eq!(rec.shed(), 3);
         assert_eq!(rec.wall_slices().len(), 4);
-        assert_eq!(rec.meta().len(), 1);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! Intervals use complete events (`ph: "X"`, `ts` + `dur`); point
 //! events use instants (`ph: "i"`, thread scope). Track names are
-//! published via `process_name` / `thread_name` metadata events, and
-//! run-level recorder metadata is exported under `otherData`.
+//! published via `process_name` / `thread_name` metadata events; the
+//! document's `otherData` object is empty.
 //!
 //! **Determinism.** Simulated-time events are a pure function of the
 //! workload, but they may be *recorded* in any order when simulators
@@ -213,14 +213,10 @@ pub fn trace_json(recorder: &FlightRecorder, include_wall: bool) -> Json {
         }
     }
 
-    // Key order in metadata follows insertion order, which is a
-    // recording-schedule artifact; sort it away.
-    let mut meta = recorder.meta();
-    meta.sort_by(|a, b| a.0.cmp(&b.0));
     Json::Obj(vec![
         ("traceEvents".to_owned(), Json::Arr(events)),
         ("displayTimeUnit".to_owned(), Json::Str("ms".to_owned())),
-        ("otherData".to_owned(), Json::Obj(meta)),
+        ("otherData".to_owned(), Json::Obj(Vec::new())),
     ])
 }
 
@@ -314,7 +310,6 @@ mod tests {
             Duration::from_micros(120),
             vec![],
         );
-        rec.set_meta("run.label", Json::Str("sample".to_owned()));
         rec
     }
 
@@ -353,12 +348,7 @@ mod tests {
             })
             .collect();
         assert_eq!(names, vec!["simulated time", "wall clock"]);
-        assert_eq!(
-            doc.get("otherData")
-                .and_then(|m| m.get("run.label"))
-                .and_then(Json::as_str),
-            Some("sample")
-        );
+        assert_eq!(doc.get("otherData"), Some(&Json::Obj(Vec::new())));
     }
 
     #[test]
@@ -465,7 +455,6 @@ mod tests {
             2,
             vec![(hostile.to_owned(), Json::Str(hostile.to_owned()))],
         );
-        rec.set_meta(hostile, Json::Str(hostile.to_owned()));
         let text = TraceEventSink::full().export_string(&rec).unwrap();
         let doc = json::parse(text.trim()).expect("hostile strings escape cleanly");
         let ev = events_of(&doc)
@@ -477,12 +466,6 @@ mod tests {
         assert_eq!(
             ev.get("args")
                 .and_then(|a| a.get(hostile))
-                .and_then(Json::as_str),
-            Some(hostile)
-        );
-        assert_eq!(
-            doc.get("otherData")
-                .and_then(|m| m.get(hostile))
                 .and_then(Json::as_str),
             Some(hostile)
         );

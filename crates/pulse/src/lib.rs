@@ -24,9 +24,8 @@
 //! * [`status`] — the [`RunStatus`] shared state the front ends
 //!   (`spindle`, `experiments`) publish phase and progress into.
 //! * [`live`] — the `--live` terminal dashboard: in-place ANSI redraw
-//!   of progress, throughput, ETA, worker lanes, hottest spans, and
-//!   `events.dropped`, degrading to plain line output when stderr is
-//!   not a TTY.
+//!   of progress, throughput, ETA, worker lanes and hottest spans,
+//!   degrading to plain line output when stderr is not a TTY.
 //! * [`export`] — the child-side half of the cross-process telemetry
 //!   plane: when `SPINDLE_TELEMETRY_SINK` names a local sink address
 //!   (the `spindle serve` runner injects it for every job child), an

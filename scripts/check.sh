@@ -124,6 +124,12 @@ for artifact in artifacts/trace.json artifacts/report.html artifacts/observatory
 done
 EXPERIMENTS=target/release/experiments
 
+# Paper-scale reproduction: the full matrix must reproduce the committed
+# results_full.txt (the output EXPERIMENTS.md quotes) byte for byte.
+# About 8 s at --jobs 2 on a 2-vCPU VM.
+run sh -c "$EXPERIMENTS --jobs 2 --quiet > artifacts/results_full.txt"
+run cmp artifacts/results_full.txt results_full.txt
+
 # Live-telemetry smoke: run the matrix with the HTTP endpoint on an
 # ephemeral port, scrape /metrics and /healthz while the server is up
 # (a shutdown linger keeps it alive past the quick matrix), and check
